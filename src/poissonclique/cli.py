@@ -28,7 +28,7 @@ from .inference import (
     marginal_restriction_check,
     transitivity_conditional,
 )
-from .lattice import ResourceCapError, mask_of
+from .lattice import ResourceCapError, elements_of, mask_of
 from .sampling import METHOD_BERNOULLI, METHOD_INVERSION, sample_graph_batch, sample_pipeline
 from .schedules import (
     BetaUniformSchedule,
@@ -156,6 +156,8 @@ def mc_vs_exact(
 # ---------------------------------------------------------------------------
 
 def _cmd_sample(args, cap) -> RunReport:
+    if args.draws < 1:
+        raise ValueError("--draws must be positive")
     schedule, sdoc = _parse_schedule(args.schedule)
     samples = []
     for i in range(args.draws):
@@ -202,7 +204,7 @@ def _cmd_cluster_prob(args, cap) -> RunReport:
     prob = cluster_prob(subset, graph, schedule)
     return RunReport(
         command="cluster-prob",
-        inputs={"graph": graph_to_dict(graph), "subset": sorted(json.loads(args.subset))},
+        inputs={"graph": graph_to_dict(graph), "subset": list(elements_of(subset))},
         schedule=sdoc,
         results={"prob": float(prob)},
     )
@@ -215,7 +217,7 @@ def _cmd_coarse_cluster_prob(args, cap) -> RunReport:
     prob = coarse_cluster_prob(subset, graph, schedule)
     return RunReport(
         command="coarse-cluster-prob",
-        inputs={"graph": graph_to_dict(graph), "subset": sorted(json.loads(args.subset))},
+        inputs={"graph": graph_to_dict(graph), "subset": list(elements_of(subset))},
         schedule=sdoc,
         results={"prob": float(prob)},
     )
@@ -494,11 +496,12 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         report = args.handler(args, cap)
+        text = dumps(report.to_dict())
     except ResourceCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    sys.stdout.write(dumps(report.to_dict()))
+    sys.stdout.write(text)
     return 0 if report.ok else 1

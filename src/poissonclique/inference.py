@@ -367,18 +367,44 @@ def marginal_restriction_check(
     return float(np.abs(folded - law_m).max())
 
 
+def _swap_index(n: int, j: int, m: int) -> np.ndarray:
+    """For every edge mask on [n], the edge mask after swapping vertices j and m.
+
+    A relabeling moves each edge bit to one fixed position, so the image of a
+    mask is the OR of the images of its low and high halves; two small tables
+    joined by one outer OR build the whole int32 index (2^21 cells at n = 7).
+    """
+    rename = {j: m, m: j}
+    dest = [
+        edge_index(*sorted((rename.get(x, x), rename.get(y, y)))) for x, y in edge_bit_pairs(n)
+    ]
+    half = len(dest) // 2
+
+    def table(bits: list[int]) -> np.ndarray:
+        out = np.zeros(1 << len(bits), dtype=np.int32)
+        for b, d in enumerate(bits):
+            out.reshape(-1, 2, 1 << b)[:, 1, :] |= 1 << d
+        return out
+
+    return (table(dest[half:])[:, None] | table(dest[:half])[None, :]).ravel()
+
+
 def exchangeability_discrepancy(schedule: RateSchedule, n: int, *, cap: int | None = None) -> float:
-    """Max over relabelings sigma and graphs G of |P(G) - P(sigma G)| at level n."""
+    """Max over relabelings sigma and graphs G of |P(G) - P(sigma G)| at level n.
+
+    Relabelings form a group, so this is the largest spread of the law within
+    one isomorphism orbit: the max over G of P(G) minus the least P over G's
+    orbit.  Float subtraction is monotone, so the result is bit-identical to
+    the pairwise maximum over all n! relabelings.  Orbit minima are built along
+    the stabilizer chain S_2 < ... < S_n: S_m is the union of the cosets
+    S_{m-1} tau_{j,m}, j < m, where tau_{j,m} swaps vertices j and m, so level
+    m folds in the minimum at tau_{j,m} G.  Cost: n(n-1)/2 gathers over the
+    2^C(n,2) cells; n = 7 takes about a second where n! relabelings took about
+    half an hour.
+    """
     law = graph_law(n, schedule, cap=cap)
-    pairs = edge_bit_pairs(n)
-    idx = np.arange(law.size, dtype=np.int64)
-    worst = 0.0
-    for images in itertools.permutations(range(1, n + 1)):
-        if images == tuple(range(1, n + 1)):
-            continue
-        relabeled = np.zeros(law.size, dtype=np.int64)
-        for b, (i, j) in enumerate(pairs):
-            x, y = images[i - 1], images[j - 1]
-            relabeled |= ((idx >> b) & 1) << edge_index(min(x, y), max(x, y))
-        worst = max(worst, float(np.abs(law[relabeled] - law).max()))
-    return worst
+    lo = law.copy()
+    for m in range(2, n + 1):
+        for j in range(1, m):
+            np.minimum(lo, lo[_swap_index(n, j, m)], out=lo)
+    return float((law - lo).max())

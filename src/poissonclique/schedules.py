@@ -52,8 +52,8 @@ class GeometricSchedule(RateSchedule):
     def __post_init__(self) -> None:
         if not 0 < self.alpha < 1:
             raise ValueError(f"alpha must lie strictly inside (0, 1), got {self.alpha}")
-        if not self.c > 0:
-            raise ValueError(f"c must be positive, got {self.c}")
+        if not (math.isfinite(self.c) and self.c > 0):
+            raise ValueError(f"c must be finite and positive, got {self.c}")
 
     def _rate(self, n: int, r: int) -> float:
         return self.c * self.alpha**r * (1.0 - self.alpha) ** (n - r)
@@ -74,8 +74,8 @@ class BetaUniformSchedule(RateSchedule):
     kind: ClassVar[str] = "beta_uniform"
 
     def __post_init__(self) -> None:
-        if not self.c > 0:
-            raise ValueError(f"c must be positive, got {self.c}")
+        if not (math.isfinite(self.c) and self.c > 0):
+            raise ValueError(f"c must be finite and positive, got {self.c}")
 
     def _rate(self, n: int, r: int) -> float:
         return self.c / ((n + 1) * math.comb(n, r))
@@ -100,8 +100,8 @@ class MomentAtomsSchedule(RateSchedule):
         for x, w in self.atoms:
             if not 0.0 <= x <= 1.0:
                 raise ValueError(f"atom location {x} outside [0, 1]")
-            if not w > 0:
-                raise ValueError(f"atom weight {w} must be positive")
+            if not (math.isfinite(w) and w > 0):
+                raise ValueError(f"atom weight {w} must be finite and positive")
 
     def _rate(self, n: int, r: int) -> float:
         return sum(w * x**r * (1.0 - x) ** (n - r) for x, w in self.atoms)

@@ -38,7 +38,8 @@ __all__ = [
 
 
 def dumps(document: Mapping) -> str:
-    return json.dumps(document, indent=2, sort_keys=True) + "\n"
+    """Byte-stable strict JSON; raises ValueError on NaN or infinity, which JSON cannot carry."""
+    return json.dumps(document, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _require(doc: Mapping, key: str, expected: str):

@@ -3,12 +3,15 @@
 Nothing here reuses the package's enumeration shortcuts: probabilities are
 rebuilt from the raw independence picture (one presence coin per subset of [n],
 success probability 1 - e^{-rate}), and graphs are read straight off family
-members.  Family sweeps cost 2^(2^n), so keep n <= 3.
+members.  Family sweeps cost 2^(2^n), so keep n <= 3; the relabeling sweep
+costs n! passes over the law, so keep n <= 6 there.
 """
 
 import itertools
 import math
 import random
+
+import numpy as np
 
 from poissonclique.schedules import (
     BetaUniformSchedule,
@@ -67,3 +70,24 @@ def random_schedule(rng: random.Random):
         atoms = tuple((rng.random(), rng.uniform(0.1, 2.0)) for _ in range(rng.randrange(1, 4)))
         return MomentAtomsSchedule(atoms)
     return derive_lower([rng.uniform(0.0, 2.0) for _ in range(7)])
+
+
+def relabeling_discrepancy(law, n: int) -> float:
+    """Max over all n! - 1 relabelings sigma and graphs G of |law[G] - law[sigma G]|.
+
+    ``law`` is indexed by edge mask: edge (i, j), i < j, sits at bit
+    (j-1)(j-2)/2 + i-1.  Every relabeling's index array is rebuilt bit by bit.
+    """
+    pairs = [(i, j) for j in range(2, n + 1) for i in range(1, j)]
+    idx = np.arange(law.size, dtype=np.int64)
+    worst = 0.0
+    for images in itertools.permutations(range(1, n + 1)):
+        if images == tuple(range(1, n + 1)):
+            continue
+        relabeled = np.zeros(law.size, dtype=np.int64)
+        for b, (i, j) in enumerate(pairs):
+            x, y = images[i - 1], images[j - 1]
+            low, high = min(x, y), max(x, y)
+            relabeled |= ((idx >> b) & 1) << ((high - 1) * (high - 2) // 2 + low - 1)
+        worst = max(worst, float(np.abs(law[relabeled] - law).max()))
+    return worst

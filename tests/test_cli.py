@@ -147,6 +147,15 @@ def test_check_exchangeability(capsys):
     assert doc["results"]["max_discrepancy"] < 1e-10
 
 
+def test_check_exchangeability_n7(capsys):
+    code, doc = run_json(
+        ["check-exchangeability", "--schedule", GEOM_HALF, "--n", "7", "--tol", "1e-10"], capsys
+    )
+    assert code == 0
+    assert doc["checks"][0]["pass"] is True
+    assert doc["results"]["max_discrepancy"] <= 1e-10
+
+
 def test_mc_vs_exact_pass_and_fail(capsys):
     base = [
         "mc-vs-exact",
@@ -205,6 +214,52 @@ def test_stdin_document(capsys, monkeypatch):
     code, doc = run_json(["covers", "--graph", "-"], capsys)
     assert code == 0
     assert doc["results"]["count"] == 2
+
+
+@pytest.mark.parametrize("command", ["cluster-prob", "coarse-cluster-prob"])
+def test_subset_from_stdin_matches_inline(command, capsys, monkeypatch):
+    argv = [command, "--graph", TRIANGLE, "--schedule", LN2_TABLE_3, "--subset"]
+    code, inline, _ = run_cli(argv + ["[2,1]"], capsys)
+    assert code == 0
+    monkeypatch.setattr("sys.stdin", __import__("io").StringIO("[2,1]"))
+    code, piped, _ = run_cli(argv + ["-"], capsys)
+    assert code == 0
+    assert piped == inline
+    assert json.loads(inline)["inputs"]["subset"] == [1, 2]
+
+
+@pytest.mark.parametrize("draws", ["0", "-5"])
+def test_sample_rejects_non_positive_draws(draws, capsys):
+    code, out, err = run_cli(
+        ["sample", "--schedule", GEOM_HALF, "--n", "3", "--seed", "1", "--draws", draws], capsys
+    )
+    assert code == 2
+    assert out == ""
+    assert "draws" in err
+
+
+@pytest.mark.parametrize(
+    "schedule",
+    [
+        '{"kind":"moment_atoms","atoms":[[0.5,Infinity]]}',
+        '{"kind":"geometric","alpha":0.5,"c":Infinity}',
+        '{"kind":"beta_uniform","c":Infinity}',
+    ],
+)
+def test_non_finite_schedule_parameters_exit_2(schedule, capsys):
+    code, out, err = run_cli(["graph-prob", "--graph", TRIANGLE, "--schedule", schedule], capsys)
+    assert code == 2
+    assert out == ""
+    assert "finite" in err
+
+
+def test_non_finite_result_exits_2_without_stdout(capsys):
+    # Finite rates whose sum overflows give inf - inf = NaN, which strict JSON cannot carry.
+    huge = '{"kind":"table","n":3,"rows":{"3":[0,0,1e308,1e308]}}'
+    code, out, err = run_cli(["graph-prob", "--graph", TRIANGLE, "--schedule", huge], capsys)
+    assert code == 2
+    assert out == ""
+    assert "error" in err
 
 
 def test_usage_errors(capsys):

@@ -4,7 +4,9 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from poissonclique import inference
 from poissonclique.inference import (
     InconsistentEvidenceError,
     classify_extension,
@@ -27,6 +29,7 @@ from poissonclique.lattice import (
     ResourceCapError,
     SubsetFamily,
     clique_graph,
+    edge_mask_to_graph,
     graph_to_edge_mask,
     iter_submasks,
     mask_of,
@@ -42,7 +45,7 @@ from poissonclique.schedules import (
     constant_table,
 )
 
-from oracles import covered_pairs, event_prob, point_mass, random_schedule
+from oracles import covered_pairs, event_prob, point_mass, random_schedule, relabeling_discrepancy
 
 LN2 = math.log(2)
 LN2_TABLE_2 = TableSchedule({2: (LN2, LN2, LN2)})
@@ -505,3 +508,64 @@ def test_exchangeability_discrepancy_is_rounding_level():
     rng = random.Random(61)
     for n in (2, 3, 4):
         assert exchangeability_discrepancy(random_schedule(rng), n) < 1e-12
+
+
+# The exchangeability check must return the same float as the n!-relabeling
+# oracle, not merely a close one: both are max |P(G) - P(H)| over the same
+# pairs, and float subtraction is monotone.
+EXACT_LAW_SCHEDULES = [
+    GeometricSchedule(alpha=0.5, c=1.0),
+    GeometricSchedule(alpha=0.5, c=1e-6),
+    GeometricSchedule(alpha=0.9, c=20.0),
+    BetaUniformSchedule(c=1.0),
+]
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+@pytest.mark.parametrize("schedule", EXACT_LAW_SCHEDULES, ids=repr)
+def test_exchangeability_discrepancy_equals_oracle(schedule, n):
+    assert exchangeability_discrepancy(schedule, n) == relabeling_discrepancy(graph_law(n, schedule), n)
+
+
+def test_exchangeability_discrepancy_equals_oracle_random_schedules():
+    rng = random.Random(67)
+    for n in (2, 3, 4, 5, 5, 5, 6):
+        schedule = random_schedule(rng)
+        assert exchangeability_discrepancy(schedule, n) == relabeling_discrepancy(
+            graph_law(n, schedule), n
+        )
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_exchangeability_discrepancy_on_non_exchangeable_laws(n, monkeypatch):
+    # Schedule-driven laws are exchangeable, so their spreads are rounding
+    # noise.  Arbitrary arrays give large spreads, and a law that is +1 at G,
+    # -1 at sigma G and 0 elsewhere reads 2 only if the orbit of G is complete.
+    rng = np.random.default_rng(71 + n)
+    size = 1 << (n * (n - 1) // 2)
+    laws = [rng.random(size) for _ in range(4)]
+    laws += [rng.integers(0, 3, size).astype(float) * 1e-300 for _ in range(2)]
+    for _ in range(30):
+        g = int(rng.integers(size))
+        sigma = Permutation(tuple(int(v) + 1 for v in rng.permutation(n)))
+        law = np.zeros(size)
+        law[g] = 1.0
+        law[graph_to_edge_mask(permute_graph(edge_mask_to_graph(n, g), sigma))] -= 1.0
+        laws.append(law)
+    for law in laws:
+        monkeypatch.setattr(inference, "graph_law", lambda *args, law=law, **kw: law.copy())
+        assert exchangeability_discrepancy(None, n) == relabeling_discrepancy(law, n)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    kind=st.sampled_from(["geometric", "beta_uniform"]),
+    alpha=st.floats(0.01, 0.99),
+    c=st.floats(1e-6, 50.0),
+    n=st.integers(2, 5),
+)
+def test_exchangeability_discrepancy_matches_oracle_property(kind, alpha, c, n):
+    schedule = GeometricSchedule(alpha=alpha, c=c) if kind == "geometric" else BetaUniformSchedule(c=c)
+    got = exchangeability_discrepancy(schedule, n)
+    assert got == relabeling_discrepancy(graph_law(n, schedule), n)
+    assert got <= 1e-10

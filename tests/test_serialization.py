@@ -72,3 +72,9 @@ def test_dumps_byte_stable():
     assert text == dumps(sample_to_dict(sample_pipeline(GeometricSchedule(alpha=0.5), 3, 55)))
     assert text.endswith("\n")
     assert json.loads(text) == doc
+
+
+def test_dumps_rejects_non_finite_floats():
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError):
+            dumps({"prob": bad})
