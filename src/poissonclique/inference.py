@@ -10,15 +10,21 @@ complements.  Two computation paths are used:
 * per-graph: sum over subsets of cliques(G) whose pairwise edges exactly cover
   E(G), as a memoized include/exclude walk; capped at CLIQUE_SUBSET_CAP cliques.
 * whole-level: the cumulative law P(graph <= e) = exp(T(e) - T(full)) with T(e)
-  the total rate of cliques fitting inside e, computed for every edge mask by a
-  subset-sum (zeta) transform and inverted by a Moebius pass.  This prices all
-  2^C(n,2) graphs at once and is the fallback for clique-rich graphs.
+  the total rate of cliques fitting inside e, computed by a subset-sum (zeta)
+  transform over the edge lattice and inverted by a Moebius pass.  The passes
+  run in two memory layouts, low edge bits first in a transposed one, so that
+  every pass streams long contiguous runs; each cell still sees the same float
+  operations, in the same order, as the plain per-bit butterfly.  ``graph_law``
+  prices all 2^C(n,2) graphs at once; the clique-rich fallback of
+  ``graph_prob`` runs the same transform on the 2^|E(G)| graphs inside E(G).
 
 Subsets of cardinality <= 1 never affect the graph; they are marginalized out of
 every graph computation and cancel from every conditional ratio.
 
-Survival products are always accumulated as exp(-sum of rates), so no
-intermediate underflow occurs regardless of rate size.
+Survival products are always accumulated as exp(-sum of rates), so they never
+underflow factor by factor.  A level whose total rate of subsets with at least
+two elements overflows the float range has no finite exponent to work with, and
+the graph laws reject it with ValueError.
 """
 
 from __future__ import annotations
@@ -59,14 +65,6 @@ class InconsistentEvidenceError(ValueError):
 
 
 @dataclass(frozen=True)
-class CliqueSet:
-    """All cliques of a graph with at least two vertices, as vertex masks."""
-
-    graph: Graph
-    cliques: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class CoverEnumeration:
     """Every antichain of cliques whose union of pairwise edges is exactly E(G)."""
 
@@ -86,14 +84,11 @@ def _presence(rate: float) -> float:
     return -math.expm1(-rate)
 
 
-def clique_set(graph: Graph) -> CliqueSet:
-    """Enumerate every vertex mask of cardinality >= 2 inducing a complete subgraph."""
+def clique_set(graph: Graph) -> tuple[int, ...]:
+    """Every vertex mask of cardinality >= 2 inducing a complete subgraph, ascending."""
     em = graph_to_edge_mask(graph)
     pmt = pair_masks(graph.n)
-    cliques = tuple(
-        a for a in all_masks(graph.n) if a.bit_count() >= 2 and pmt[a] & ~em == 0
-    )
-    return CliqueSet(graph, cliques)
+    return tuple(a for a in all_masks(graph.n) if a.bit_count() >= 2 and pmt[a] & ~em == 0)
 
 
 def _cover_weight(
@@ -133,7 +128,7 @@ def _cover_weight(
 
 def enumerate_monotone_covers(graph: Graph, *, clique_cap: int = CLIQUE_SUBSET_CAP) -> CoverEnumeration:
     """All generating classes of cliques (cardinality >= 2) projecting exactly to ``graph``."""
-    cliques = clique_set(graph).cliques
+    cliques = clique_set(graph)
     if len(cliques) > clique_cap:
         raise ResourceCapError(f"graph has {len(cliques)} cliques, enumeration cap is {clique_cap}")
     pmt = pair_masks(graph.n)
@@ -194,51 +189,125 @@ def interval_prob(family: SubsetFamily, schedule: RateSchedule) -> float:
 # The projected graph law
 # ---------------------------------------------------------------------------
 
+def _graph_rates(schedule: RateSchedule, n: int) -> tuple[list[float], float]:
+    """lambda_n(0..n) and sum_r C(n, r) lambda_n(r) over r >= 2, which must be finite."""
+    rates = _size_rates(schedule, n)
+    total = sum(math.comb(n, r) * rates[r] for r in range(2, n + 1))
+    if not math.isfinite(total):
+        raise ValueError(
+            f"level {n}: the total rate of subsets with at least two elements overflows ({total})"
+        )
+    return rates, total
+
+
+def _law_cap(n: int, cap: int | None) -> None:
+    cap = GRAPH_ENUM_CAP if cap is None else cap
+    if n > cap:
+        raise ResourceCapError(f"whole-level graph law needs 2**{n * (n - 1) // 2} entries (cap n <= {cap})")
+
+
+_TRANSPOSE_ROWS = 64
+
+
+def _subcube_law(n: int, rates: list[float], edges: int) -> np.ndarray:
+    """P(graph = e) for every graph e on [n] whose edges lie inside ``edges``.
+
+    Index bit i carries the i-th set bit of ``edges``.  A zeta pass over an edge
+    bit outside ``edges`` never writes a cell inside it, and one over a bit
+    inside reads only cells inside, so these cells of the whole-level transform
+    need only the cliques whose pairs lie inside ``edges``, on compacted bits.
+    T(full) needs every clique: it is folded pairwise, bit by bit, from the
+    nonzero cells, which are the additions the full transform makes at the
+    full mask (0.0 for an empty level).
+
+    A pass ``view[:, 1, :] += view[:, 0, :]`` at bit position p streams runs of
+    2^p cells, and NumPy's per-run overhead dominates below about 4096 cells.
+    So the low k = nbits // 2 bits are processed in a transposed layout that
+    puts them at the top positions, and the high bits in the natural layout,
+    with blocked copies in between.  Bits are still processed in order
+    0 .. nbits - 1 by both transforms, so every cell is bit-identical to the
+    plain per-bit butterfly.
+    """
+    pmt = pair_masks(n)
+    bits = [b for b in range(n * (n - 1) // 2) if edges >> b & 1]
+    nbits = len(bits)
+    k = nbits // 2
+    h = nbits - k
+    # 0.0 + rate is the dense scatter's own addition (it turns -0.0 into 0.0)
+    cells = {pmt[a]: 0.0 + rates[a.bit_count()] for a in all_masks(n) if a.bit_count() >= 2}
+
+    folded = cells
+    for _ in range(n * (n - 1) // 2):
+        folded = {
+            key: folded.get(2 * key + 1, 0.0) + folded.get(2 * key, 0.0)
+            for key in {e >> 1 for e in folded}
+        }
+    total = folded.get(0, 0.0)
+
+    low = np.zeros(1 << nbits)  # transposed layout: low bits on top
+    for e, rate in cells.items():
+        if e & ~edges == 0:
+            c = sum(1 << i for i, b in enumerate(bits) if e >> b & 1)
+            low[(c & ((1 << k) - 1)) << h | c >> k] += rate
+    high = np.empty_like(low)  # natural layout
+
+    def passes(x: np.ndarray, positions: range, op: np.ufunc) -> None:
+        for p in positions:
+            view = x.reshape(-1, 2, 1 << p)
+            op(view[:, 1, :], view[:, 0, :], out=view[:, 1, :])
+
+    def transpose(src: np.ndarray, dst: np.ndarray, rows: int) -> None:
+        s = src.reshape(rows, -1)
+        d = dst.reshape(-1, rows)
+        for r in range(0, rows, _TRANSPOSE_ROWS):
+            d[:, r : r + _TRANSPOSE_ROWS] = s[r : r + _TRANSPOSE_ROWS].T
+
+    passes(low, range(h, nbits), np.add)
+    transpose(low, high, 1 << k)
+    passes(high, range(k, nbits), np.add)
+    np.subtract(high, total, out=high)
+    np.exp(high, out=high)
+    transpose(high, low, 1 << h)
+    passes(low, range(h, nbits), np.subtract)
+    transpose(low, high, 1 << k)
+    passes(high, range(k, nbits), np.subtract)
+    return high
+
+
 def graph_law(n: int, schedule: RateSchedule, *, cap: int | None = None) -> np.ndarray:
     """Exact probability of every graph on [n], indexed by edge bitmask.
 
     Bit b of the index carries edge ``edge_bit_pairs(n)[b]``.  Computed via the
     cumulative law F(e) = P(graph <= e) = exp(T(e) - T(full)), where T is the
     subset-sum transform of clique rates over the edge lattice, then inverted
-    by a Moebius pass.  Cost O(2^C(n,2) * C(n,2)).
+    by a Moebius pass; both run in two memory layouts and are bit-identical to
+    the plain per-bit butterfly.  Cost O(2^C(n,2) * C(n,2)).  Raises ValueError
+    when the level's total rate overflows.
     """
-    cap = GRAPH_ENUM_CAP if cap is None else cap
-    if n > cap:
-        raise ResourceCapError(f"whole-level graph law needs 2**{n * (n - 1) // 2} entries (cap n <= {cap})")
-    nbits = n * (n - 1) // 2
-    rates = _size_rates(schedule, n)
-    pmt = pair_masks(n)
-    transform = np.zeros(1 << nbits)
-    for a in all_masks(n):
-        if a.bit_count() >= 2:
-            transform[pmt[a]] += rates[a.bit_count()]
-    for b in range(nbits):
-        view = transform.reshape(-1, 2, 1 << b)
-        view[:, 1, :] += view[:, 0, :]
-    law = np.exp(transform - transform[-1])
-    for b in range(nbits):
-        view = law.reshape(-1, 2, 1 << b)
-        view[:, 1, :] -= view[:, 0, :]
-    return law
+    _law_cap(n, cap)
+    rates, _ = _graph_rates(schedule, n)
+    return _subcube_law(n, rates, (1 << n * (n - 1) // 2) - 1)
 
 
 def graph_prob(graph: Graph, schedule: RateSchedule, *, cap: int | None = None) -> float:
     """P(projected graph = graph), exactly.
 
     Uses the clique-subset walk when the graph has at most CLIQUE_SUBSET_CAP
-    cliques, otherwise falls back to the whole-level law.
+    cliques.  Otherwise runs the whole-level transform on the 2^|E(G)| graphs
+    inside E(G) and returns the same float as ``graph_law(n)[mask of G]``;
+    the level cap of ``graph_law`` applies.  Raises ValueError when the level's
+    total rate overflows.
     """
-    cliques = clique_set(graph).cliques
-    rates = _size_rates(schedule, graph.n)
+    cliques = clique_set(graph)
+    rates, total_rate = _graph_rates(schedule, graph.n)
     if len(cliques) <= CLIQUE_SUBSET_CAP:
         pmt = pair_masks(graph.n)
         presence = {a: _presence(rates[a.bit_count()]) for a in cliques}
         weight = _cover_weight(cliques, presence, pmt, graph_to_edge_mask(graph))
-        total_rate = sum(math.comb(graph.n, r) * rates[r] for r in range(2, graph.n + 1))
         clique_rate = sum(rates[a.bit_count()] for a in cliques)
         return math.exp(clique_rate - total_rate) * weight
-    law = graph_law(graph.n, schedule, cap=cap)
-    return float(law[graph_to_edge_mask(graph)])
+    _law_cap(graph.n, cap)
+    return float(_subcube_law(graph.n, rates, graph_to_edge_mask(graph))[-1])
 
 
 def transitivity_conditional(schedule: RateSchedule) -> float:
@@ -261,7 +330,7 @@ def _conditional_setup(subset: int, graph: Graph, schedule: RateSchedule):
         raise ValueError("cluster queries need at least two vertices")
     if subset & ~full_mask(graph.n):
         raise ValueError(f"subset {elements_of(subset)} exceeds vertex set [{graph.n}]")
-    cliques = clique_set(graph).cliques
+    cliques = clique_set(graph)
     if len(cliques) > CLIQUE_SUBSET_CAP:
         raise ResourceCapError(f"graph has {len(cliques)} cliques, conditional cap is {CLIQUE_SUBSET_CAP}")
     rates = _size_rates(schedule, graph.n)

@@ -4,7 +4,8 @@ Nothing here reuses the package's enumeration shortcuts: probabilities are
 rebuilt from the raw independence picture (one presence coin per subset of [n],
 success probability 1 - e^{-rate}), and graphs are read straight off family
 members.  Family sweeps cost 2^(2^n), so keep n <= 3; the relabeling sweep
-costs n! passes over the law, so keep n <= 6 there.
+costs n! passes over the law, so keep n <= 6 there.  The per-bit butterfly
+walks all 2^C(n,2) edge masks once per edge bit, so n <= 7.
 """
 
 import itertools
@@ -91,3 +92,32 @@ def relabeling_discrepancy(law, n: int) -> float:
             relabeled |= ((idx >> b) & 1) << ((high - 1) * (high - 2) // 2 + low - 1)
         worst = max(worst, float(np.abs(law[relabeled] - law).max()))
     return worst
+
+
+def butterfly_law(n: int, rates) -> np.ndarray:
+    """The whole-level graph law by the plain per-bit zeta/Moebius butterfly.
+
+    ``rates[r]`` is the Poisson rate of each r-subset of [n].  Cell e holds
+    P(graph = e), edge (i, j), i < j, at bit (j-1)(j-2)/2 + i-1: the cumulative
+    law P(graph <= e) = exp(T(e) - T(full)), with T(e) the total rate of vertex
+    subsets whose pairs all lie in e, is built by one subset-sum pass per edge
+    bit, in bit order, and inverted by one difference pass per edge bit.
+    """
+    nbits = n * (n - 1) // 2
+    transform = np.zeros(1 << nbits)
+    for a in range(1 << n):
+        labels = [i for i in range(1, n + 1) if a >> (i - 1) & 1]
+        if len(labels) < 2:
+            continue
+        pairs = 0
+        for i, j in itertools.combinations(labels, 2):
+            pairs |= 1 << ((j - 1) * (j - 2) // 2 + i - 1)
+        transform[pairs] += rates[len(labels)]
+    for b in range(nbits):
+        view = transform.reshape(-1, 2, 1 << b)
+        view[:, 1, :] += view[:, 0, :]
+    law = np.exp(transform - transform[-1])
+    for b in range(nbits):
+        view = law.reshape(-1, 2, 1 << b)
+        view[:, 1, :] -= view[:, 0, :]
+    return law

@@ -212,7 +212,7 @@ def test_criterion_6_cluster_probabilities():
         for n in (2, 3, 4):
             for edge_mask in range(1 << (n * (n - 1) // 2)):
                 graph = edge_mask_to_graph(n, edge_mask)
-                for subset in clique_set(graph).cliques:
+                for subset in clique_set(graph):
                     fine = cluster_prob(subset, graph, schedule)
                     coarse = coarse_cluster_prob(subset, graph, schedule)
                     if coarse < fine - 1e-12:

@@ -1,10 +1,13 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import poissonclique
 from poissonclique.cli import main
 
 LN2 = "0.6931471805599453"
@@ -12,6 +15,7 @@ LN2_TABLE_3 = '{"kind":"table","n":3,"rows":{"3":[%s,%s,%s,%s]}}' % (LN2, LN2, L
 LN2_TABLE_2 = '{"kind":"table","n":2,"rows":{"2":[%s,%s,%s]}}' % (LN2, LN2, LN2)
 GEOM_HALF = '{"kind":"geometric","alpha":0.5,"c":1}'
 TRIANGLE = '{"n":3,"edges":[[1,2],[1,3],[2,3]]}'
+K6 = json.dumps({"n": 6, "edges": [[i, j] for j in range(2, 7) for i in range(1, j)]})
 
 
 def run_cli(argv, capsys):
@@ -254,12 +258,35 @@ def test_non_finite_schedule_parameters_exit_2(schedule, capsys):
 
 
 def test_non_finite_result_exits_2_without_stdout(capsys):
-    # Finite rates whose sum overflows give inf - inf = NaN, which strict JSON cannot carry.
+    # Finite rates whose sum overflows would give inf - inf = NaN, which strict JSON cannot carry.
     huge = '{"kind":"table","n":3,"rows":{"3":[0,0,1e308,1e308]}}'
     code, out, err = run_cli(["graph-prob", "--graph", TRIANGLE, "--schedule", huge], capsys)
     assert code == 2
     assert out == ""
     assert "error" in err
+
+
+@pytest.mark.parametrize(
+    "graph, schedule, level",
+    [
+        (TRIANGLE, '{"kind":"table","n":3,"rows":{"3":[0,0,1e308,1e308]}}', 3),
+        (K6, '{"kind":"table","n":6,"rows":{"6":[0,0,1e308,0,0,0,0]}}', 6),
+    ],
+    ids=["clique-walk", "whole-level-fallback"],
+)
+def test_overflowing_level_total_exits_2_naming_the_level(graph, schedule, level, capsys):
+    code, out, err = run_cli(["graph-prob", "--graph", graph, "--schedule", schedule], capsys)
+    assert code == 2
+    assert out == ""
+    assert f"level {level}" in err
+
+
+def test_graph_prob_fallback_beyond_level_cap_exits_3(capsys):
+    k8 = json.dumps({"n": 8, "edges": [[i, j] for j in range(2, 9) for i in range(1, j)]})
+    code, out, err = run_cli(["graph-prob", "--graph", k8, "--schedule", GEOM_HALF], capsys)
+    assert code == 3
+    assert out == ""
+    assert "cap" in err
 
 
 def test_usage_errors(capsys):
@@ -304,6 +331,10 @@ def test_env_cap_override(capsys, monkeypatch):
 
 
 def test_module_entry_point():
+    # the child imports the package from wherever this process found it
+    package_root = str(Path(poissonclique.__file__).resolve().parent.parent)
+    inherited = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=package_root + (os.pathsep + inherited if inherited else ""))
     completed = subprocess.run(
         [
             sys.executable,
@@ -317,6 +348,7 @@ def test_module_entry_point():
         ],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert completed.returncode == 0
     doc = json.loads(completed.stdout)

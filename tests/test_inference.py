@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from poissonclique import inference
 from poissonclique.inference import (
+    CLIQUE_SUBSET_CAP,
     InconsistentEvidenceError,
     classify_extension,
     clique_set,
@@ -45,7 +46,14 @@ from poissonclique.schedules import (
     constant_table,
 )
 
-from oracles import covered_pairs, event_prob, point_mass, random_schedule, relabeling_discrepancy
+from oracles import (
+    butterfly_law,
+    covered_pairs,
+    event_prob,
+    point_mass,
+    random_schedule,
+    relabeling_discrepancy,
+)
 
 LN2 = math.log(2)
 LN2_TABLE_2 = TableSchedule({2: (LN2, LN2, LN2)})
@@ -199,7 +207,7 @@ def test_covers_match_antichain_sweep():
 def test_cover_enumeration_cap():
     with pytest.raises(ResourceCapError):
         enumerate_monotone_covers(complete_graph(6))
-    assert len(clique_set(complete_graph(6)).cliques) == 57
+    assert len(clique_set(complete_graph(6))) == 57
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +337,7 @@ def test_cluster_prob_matches_family_oracle():
         for graph in [TRIANGLE, Graph.from_edges(3, [(1, 2), (1, 3)])]:
             graph_event = lambda mem: covered_pairs(mem, 3) == graph.edges
             den = event_prob(3, schedule, graph_event)
-            for clique in clique_set(graph).cliques:
+            for clique in clique_set(graph):
                 num = event_prob(3, schedule, lambda mem: clique in mem and graph_event(mem))
                 assert math.isclose(
                     cluster_prob(clique, graph, schedule), num / den, abs_tol=1e-12
@@ -371,7 +379,7 @@ def test_coarse_dominates_cluster():
     schedules = [random_schedule(rng) for _ in range(3)]
     for graph in all_graphs(4):
         for schedule in schedules:
-            for clique in clique_set(graph).cliques:
+            for clique in clique_set(graph):
                 assert cluster_prob(clique, graph, schedule) <= coarse_cluster_prob(
                     clique, graph, schedule
                 ) + 1e-12
@@ -569,3 +577,101 @@ def test_exchangeability_discrepancy_matches_oracle_property(kind, alpha, c, n):
     got = exchangeability_discrepancy(schedule, n)
     assert got == relabeling_discrepancy(graph_law(n, schedule), n)
     assert got <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# Whole-level transform: bit for bit against the plain per-bit butterfly
+# ---------------------------------------------------------------------------
+
+def assert_same_bits(got, want):
+    assert np.array_equal(got, want)
+    assert got.tobytes() == want.tobytes()
+
+
+def level_rates(schedule, n):
+    return [schedule.rate(n, r) for r in range(n + 1)]
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+@pytest.mark.parametrize("schedule", EXACT_LAW_SCHEDULES, ids=repr)
+def test_graph_law_equals_butterfly_oracle(schedule, n):
+    assert_same_bits(graph_law(n, schedule), butterfly_law(n, level_rates(schedule, n)))
+
+
+def test_graph_law_equals_butterfly_oracle_random_schedules():
+    rng = random.Random(83)
+    for _ in range(6):
+        schedule = random_schedule(rng)
+        for n in range(1, 8):
+            if isinstance(schedule, TableSchedule) and n not in schedule.rows:
+                continue
+            assert_same_bits(graph_law(n, schedule), butterfly_law(n, level_rates(schedule, n)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    kind=st.sampled_from(["geometric", "beta_uniform"]),
+    alpha=st.floats(0.01, 0.99),
+    c=st.floats(1e-6, 50.0),
+    n=st.integers(1, 5),
+)
+def test_graph_law_equals_butterfly_oracle_property(kind, alpha, c, n):
+    schedule = GeometricSchedule(alpha=alpha, c=c) if kind == "geometric" else BetaUniformSchedule(c=c)
+    assert_same_bits(graph_law(n, schedule), butterfly_law(n, level_rates(schedule, n)))
+
+
+def clique_rich_graphs(n, rng, count):
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    found = []
+    while len(found) < count:
+        graph = Graph.from_edges(n, [p for p in pairs if rng.random() < 0.8])
+        if len(clique_set(graph)) > CLIQUE_SUBSET_CAP:
+            found.append(graph)
+    return found
+
+
+@pytest.mark.parametrize("schedule", EXACT_LAW_SCHEDULES, ids=repr)
+def test_graph_prob_fallback_equals_law_cell(schedule):
+    rng = random.Random(89)
+    k6_plus_edge = Graph.from_edges(7, list(itertools.combinations(range(1, 7), 2)) + [(6, 7)])
+    for n, named in ((6, [complete_graph(6)]), (7, [complete_graph(7), k6_plus_edge])):
+        law = graph_law(n, schedule)
+        for graph in named + clique_rich_graphs(n, rng, 5):
+            assert len(clique_set(graph)) > CLIQUE_SUBSET_CAP
+            assert graph_prob(graph, schedule) == law[graph_to_edge_mask(graph)]
+
+
+def test_graph_prob_fallback_keeps_level_cap():
+    schedule = GeometricSchedule(alpha=0.5)
+    with pytest.raises(ResourceCapError):
+        graph_prob(complete_graph(8), schedule)
+    with pytest.raises(ResourceCapError):
+        graph_prob(complete_graph(7), schedule, cap=6)
+    # the clique walk is not bound by the level cap
+    assert graph_prob(Graph.from_edges(8, [(1, 2)]), schedule) > 0.0
+
+
+# rows whose level total C(n, r) * rate overflows, though every rate is finite
+OVERFLOWING_TRIANGLE = TableSchedule({3: (0.0, 0.0, 1e308, 1e308)})
+OVERFLOWING_PAIRS_6 = TableSchedule({6: (0.0, 0.0, 1e308, 0.0, 0.0, 0.0, 0.0)})
+
+
+def test_graph_law_rejects_overflowing_level_total():
+    with pytest.raises(ValueError, match="level 3"):
+        graph_law(3, OVERFLOWING_TRIANGLE)
+
+
+def test_graph_prob_rejects_overflowing_level_total():
+    with pytest.raises(ValueError, match="level 3"):
+        graph_prob(TRIANGLE, OVERFLOWING_TRIANGLE)  # clique walk
+    assert len(clique_set(complete_graph(6))) > CLIQUE_SUBSET_CAP
+    with pytest.raises(ValueError, match="level 6"):
+        graph_prob(complete_graph(6), OVERFLOWING_PAIRS_6)  # whole-level fallback
+
+
+def test_large_finite_level_total_keeps_its_bits():
+    schedule = TableSchedule({3: (0.0, 0.0, 1e307, 1e307)})
+    law = graph_law(3, schedule)
+    assert_same_bits(law, butterfly_law(3, level_rates(schedule, 3)))
+    assert not np.isnan(law).any()
+    assert graph_prob(TRIANGLE, schedule) == 1.0
