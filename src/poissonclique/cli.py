@@ -1,8 +1,16 @@
 """Command-line surface: every query prints one JSON report document to stdout.
 
+The subcommands are the rows of one table, ``COMMANDS``.  A row gives the help
+text, the flag specs and a small function that turns the parsed arguments into
+``(inputs, results, checks)``; a two-word name such as "schedule check" nests
+under a "schedule" sub-parser.  ``main`` reads every flag that takes a JSON
+document (``JSON_FLAGS``) in one pass before the row's function runs, so "-"
+reads the document from standard input on each of them, and wraps what the
+function returns in the one report envelope: format_version, command, inputs,
+schedule, seed, results, checks, and ok, true when every check passes.
+
 Exit codes: 0 success, 1 a requested check failed, 2 usage or argument error,
-3 a resource cap was exceeded.  Flags taking JSON documents accept "-" to read
-the document from standard input.  The only environment knob is
+3 a resource cap was exceeded.  The only environment knob is
 POISSONCLIQUE_MAX_N, which overrides the whole-level enumeration cap.
 """
 
@@ -12,7 +20,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -30,15 +38,7 @@ from .inference import (
 )
 from .lattice import ResourceCapError, elements_of, mask_of
 from .sampling import METHOD_BERNOULLI, METHOD_INVERSION, sample_graph_batch, sample_pipeline
-from .schedules import (
-    BetaUniformSchedule,
-    GeometricSchedule,
-    MomentAtomsSchedule,
-    RateSchedule,
-    check_consistency,
-    derive_lower,
-    schedule_from_dict,
-)
+from .schedules import RateSchedule, check_consistency, derive_lower, schedule_from_dict
 from .serialization import (
     FORMAT_VERSION,
     cover_to_dict,
@@ -47,61 +47,14 @@ from .serialization import (
     family_to_dict,
     graph_from_dict,
     graph_to_dict,
+    require_int,
     sample_to_dict,
 )
 
 MC_SE_FACTOR = 4.0
 MC_CELL_ATOL = 1e-12
 MC_TABLE_LIMIT = 1 << 10
-
-
-@dataclass
-class RunReport:
-    """Everything one invocation computed, in byte-stable order."""
-
-    command: str
-    inputs: dict
-    schedule: dict | None = None
-    seed: int | None = None
-    results: dict = field(default_factory=dict)
-    checks: list[dict] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return all(entry["pass"] for entry in self.checks)
-
-    def to_dict(self) -> dict:
-        return {
-            "format_version": FORMAT_VERSION,
-            "command": self.command,
-            "inputs": self.inputs,
-            "schedule": self.schedule,
-            "seed": self.seed,
-            "results": self.results,
-            "checks": self.checks,
-            "ok": self.ok,
-        }
-
-
-def _load_json(text: str, what: str):
-    if text == "-":
-        text = sys.stdin.read()
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"invalid JSON for {what}: {exc}") from None
-
-
-def _parse_schedule(text: str) -> tuple[RateSchedule, dict]:
-    doc = _load_json(text, "--schedule")
-    return schedule_from_dict(doc), doc
-
-
-def _parse_subset(text: str, n: int) -> int:
-    doc = _load_json(text, "--subset")
-    if not isinstance(doc, list):
-        raise ValueError("--subset must be a JSON list of vertex labels")
-    return mask_of((int(e) for e in doc), n)
+SEED_LIMIT = 1 << 64
 
 
 def mc_vs_exact(
@@ -152,338 +105,261 @@ def mc_vs_exact(
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers
+# Row functions: parsed arguments (JSON flags already decoded) and the level
+# cap in, (inputs, results, checks) out.  Library functions are looked up by
+# their module-global name at call time, so wrappers installed on this module
+# see every call.
 # ---------------------------------------------------------------------------
 
-def _cmd_sample(args, cap) -> RunReport:
+def _check(name: str, value, tolerance, passed: bool) -> list[dict]:
+    return [{"name": name, "value": value, "tolerance": tolerance, "pass": passed}]
+
+
+def _sample(args, cap):
     if args.draws < 1:
         raise ValueError("--draws must be positive")
-    schedule, sdoc = _parse_schedule(args.schedule)
+    schedule = schedule_from_dict(args.schedule)
     samples = []
     for i in range(args.draws):
-        sample = sample_pipeline(schedule, args.n, (args.seed + i) % (1 << 64), method=args.method)
-        samples.append(sample_to_dict(sample))
-    return RunReport(
-        command="sample",
-        inputs={"n": args.n, "draws": args.draws, "method": args.method},
-        schedule=sdoc,
-        seed=args.seed,
-        results={"samples": samples},
-    )
+        seed = (args.seed + i) % SEED_LIMIT
+        samples.append(sample_to_dict(sample_pipeline(schedule, args.n, seed, method=args.method)))
+    inputs = {"n": args.n, "draws": args.draws, "method": args.method}
+    return inputs, {"samples": samples}, []
 
 
-def _cmd_covers(args, cap) -> RunReport:
-    graph = graph_from_dict(_load_json(args.graph, "--graph"))
+def _covers(args, cap):
+    graph = graph_from_dict(args.graph)
     enumeration = enumerate_monotone_covers(graph)
-    return RunReport(
-        command="covers",
-        inputs={"graph": graph_to_dict(graph)},
-        results={
-            "count": len(enumeration),
-            "covers": [cover_to_dict(c) for c in enumeration.covers],
-        },
-    )
+    results = {"count": len(enumeration), "covers": [cover_to_dict(c) for c in enumeration.covers]}
+    return {"graph": graph_to_dict(graph)}, results, []
 
 
-def _cmd_graph_prob(args, cap) -> RunReport:
-    schedule, sdoc = _parse_schedule(args.schedule)
-    graph = graph_from_dict(_load_json(args.graph, "--graph"))
+def _graph_prob(args, cap):
+    schedule, graph = schedule_from_dict(args.schedule), graph_from_dict(args.graph)
     prob = graph_prob(graph, schedule, cap=cap)
-    return RunReport(
-        command="graph-prob",
-        inputs={"graph": graph_to_dict(graph)},
-        schedule=sdoc,
-        results={"prob": float(prob)},
-    )
+    return {"graph": graph_to_dict(graph)}, {"prob": float(prob)}, []
 
 
-def _cmd_cluster_prob(args, cap) -> RunReport:
-    schedule, sdoc = _parse_schedule(args.schedule)
-    graph = graph_from_dict(_load_json(args.graph, "--graph"))
-    subset = _parse_subset(args.subset, graph.n)
-    prob = cluster_prob(subset, graph, schedule)
-    return RunReport(
-        command="cluster-prob",
-        inputs={"graph": graph_to_dict(graph), "subset": list(elements_of(subset))},
-        schedule=sdoc,
-        results={"prob": float(prob)},
-    )
+def _cluster(args, cap):
+    schedule, graph = schedule_from_dict(args.schedule), graph_from_dict(args.graph)
+    if not isinstance(args.subset, list):
+        raise ValueError("--subset must be a JSON list of vertex labels")
+    subset = mask_of((require_int(v, "subset vertex") for v in args.subset), graph.n)
+    query = cluster_prob if args.command == "cluster-prob" else coarse_cluster_prob
+    inputs = {"graph": graph_to_dict(graph), "subset": list(elements_of(subset))}
+    return inputs, {"prob": float(query(subset, graph, schedule))}, []
 
 
-def _cmd_coarse_cluster_prob(args, cap) -> RunReport:
-    schedule, sdoc = _parse_schedule(args.schedule)
-    graph = graph_from_dict(_load_json(args.graph, "--graph"))
-    subset = _parse_subset(args.subset, graph.n)
-    prob = coarse_cluster_prob(subset, graph, schedule)
-    return RunReport(
-        command="coarse-cluster-prob",
-        inputs={"graph": graph_to_dict(graph), "subset": list(elements_of(subset))},
-        schedule=sdoc,
-        results={"prob": float(prob)},
-    )
-
-
-def _cmd_classify(args, cap) -> RunReport:
-    schedule, sdoc = _parse_schedule(args.schedule)
-    support = family_from_dict(_load_json(args.support, "--support"))
-    graph = graph_from_dict(_load_json(args.graph, "--graph"))
+def _classify(args, cap):
+    schedule = schedule_from_dict(args.schedule)
+    support, graph = family_from_dict(args.support), graph_from_dict(args.graph)
     distribution = classify_extension(support, graph, schedule)
-    return RunReport(
-        command="classify",
-        inputs={"support": family_to_dict(support), "graph": graph_to_dict(graph)},
-        schedule=sdoc,
-        results={
-            "candidates": [
-                {"family": family_to_dict(fam), "prob": float(p)} for fam, p in distribution.items()
-            ]
-        },
-    )
+    candidates = [{"family": family_to_dict(f), "prob": float(p)} for f, p in distribution.items()]
+    inputs = {"support": family_to_dict(support), "graph": graph_to_dict(graph)}
+    return inputs, {"candidates": candidates}, []
 
 
-def _cmd_transitivity(args, cap) -> RunReport:
-    schedule, sdoc = _parse_schedule(args.schedule)
-    return RunReport(
-        command="transitivity",
-        inputs={},
-        schedule=sdoc,
-        results={"prob": float(transitivity_conditional(schedule))},
-    )
+def _transitivity(args, cap):
+    return {}, {"prob": float(transitivity_conditional(schedule_from_dict(args.schedule)))}, []
 
 
-def _schedule_from_flags(args) -> tuple[RateSchedule, dict]:
-    if args.schedule is not None:
-        return _parse_schedule(args.schedule)
-    if args.kind == "geometric":
-        if args.alpha is None:
-            raise ValueError("--kind geometric needs --alpha")
-        schedule: RateSchedule = GeometricSchedule(alpha=args.alpha, c=args.c)
-    elif args.kind == "beta_uniform":
-        schedule = BetaUniformSchedule(c=args.c)
-    elif args.kind == "moment_atoms":
-        if args.atoms is None:
-            raise ValueError("--kind moment_atoms needs --atoms")
-        atoms = _load_json(args.atoms, "--atoms")
-        schedule = MomentAtomsSchedule(tuple((float(x), float(w)) for x, w in atoms))
+def _schedule_check(args, cap):
+    if "schedule" in args:
+        schedule = schedule_from_dict(args.schedule)
     else:
-        raise ValueError("provide --schedule or --kind")
-    return schedule, schedule.to_dict()
-
-
-def _cmd_schedule_check(args, cap) -> RunReport:
-    schedule, sdoc = _schedule_from_flags(args)
+        # --kind/--alpha/--c/--atoms are shorthand for a schedule document
+        doc = {key: getattr(args, key) for key in ("kind", "alpha", "c", "atoms") if key in args}
+        if "kind" not in doc:
+            raise ValueError("provide --schedule or --kind")
+        schedule = schedule_from_dict(doc)
+        args.schedule = schedule.to_dict()  # what the report echoes
     report = check_consistency(schedule, args.nmax, tol=args.tol)
-    return RunReport(
-        command="schedule check",
-        inputs={"n_max": args.nmax},
-        schedule=sdoc,
-        results=report.to_dict(),
-        checks=[
-            {
-                "name": "cross_level_recurrence",
-                "value": report.max_violation,
-                "tolerance": args.tol,
-                "pass": report.ok,
-            }
-        ],
-    )
+    checks = _check("cross_level_recurrence", report.max_violation, args.tol, report.ok)
+    return {"n_max": args.nmax}, report.to_dict(), checks
 
 
-def _cmd_schedule_derive(args, cap) -> RunReport:
-    row = _load_json(args.row, "--row")
-    if not isinstance(row, list):
+def _schedule_derive(args, cap):
+    if not isinstance(args.row, list):
         raise ValueError("--row must be a JSON list of rates")
-    table = derive_lower([float(v) for v in row])
-    return RunReport(
-        command="schedule derive",
-        inputs={"row": [float(v) for v in row]},
-        results={"schedule": table.to_dict()},
-    )
+    row = [float(v) for v in args.row]
+    return {"row": row}, {"schedule": derive_lower(row).to_dict()}, []
 
 
-def _cmd_check_consistency(args, cap) -> RunReport:
-    schedule, sdoc = _parse_schedule(args.schedule)
-    targets = [args.m] if args.m is not None else list(range(1, args.n))
+def _check_consistency(args, cap):
+    schedule = schedule_from_dict(args.schedule)
+    m = getattr(args, "m", None)
+    targets = [m] if m is not None else range(1, args.n)
     per_level = {
-        str(m): float(marginal_restriction_check(schedule, m, args.n, cap=cap)) for m in targets
+        str(k): float(marginal_restriction_check(schedule, k, args.n, cap=cap)) for k in targets
     }
     worst = max(per_level.values())
-    return RunReport(
-        command="check-consistency",
-        inputs={"m": args.m, "n": args.n},
-        schedule=sdoc,
-        results={"max_discrepancy": worst, "per_level": per_level},
-        checks=[
-            {
-                "name": "marginal_restriction",
-                "value": worst,
-                "tolerance": args.tol,
-                "pass": worst <= args.tol,
-            }
-        ],
-    )
+    checks = _check("marginal_restriction", worst, args.tol, worst <= args.tol)
+    return {"m": m, "n": args.n}, {"max_discrepancy": worst, "per_level": per_level}, checks
 
 
-def _cmd_check_exchangeability(args, cap) -> RunReport:
-    schedule, sdoc = _parse_schedule(args.schedule)
-    worst = float(exchangeability_discrepancy(schedule, args.n, cap=cap))
-    return RunReport(
-        command="check-exchangeability",
-        inputs={"n": args.n},
-        schedule=sdoc,
-        results={"max_discrepancy": worst},
-        checks=[
-            {
-                "name": "relabeling_invariance",
-                "value": worst,
-                "tolerance": args.tol,
-                "pass": worst <= args.tol,
-            }
-        ],
-    )
+def _check_exchangeability(args, cap):
+    worst = float(exchangeability_discrepancy(schedule_from_dict(args.schedule), args.n, cap=cap))
+    checks = _check("relabeling_invariance", worst, args.tol, worst <= args.tol)
+    return {"n": args.n}, {"max_discrepancy": worst}, checks
 
 
-def _cmd_mc_vs_exact(args, cap) -> RunReport:
-    schedule, sdoc = _parse_schedule(args.schedule)
-    exact_schedule = None
-    exact_doc = None
-    if args.exact_schedule is not None:
-        exact_schedule, exact_doc = _parse_schedule(args.exact_schedule)
+def _mc_vs_exact(args, cap):
+    schedule = schedule_from_dict(args.schedule)
+    exact_doc = getattr(args, "exact_schedule", None)
+    exact = schedule_from_dict(exact_doc) if "exact_schedule" in args else None
     results = mc_vs_exact(
-        schedule,
-        args.n,
-        args.draws,
-        args.seed,
-        exact_schedule=exact_schedule,
-        se_factor=args.se_factor,
-        cap=cap,
+        schedule, args.n, args.draws, args.seed,
+        exact_schedule=exact, se_factor=args.se_factor, cap=cap,
     )
-    return RunReport(
-        command="mc-vs-exact",
-        inputs={"n": args.n, "draws": args.draws, "exact_schedule": exact_doc},
-        schedule=sdoc,
-        seed=args.seed,
-        results=results,
-        checks=[
-            {
-                "name": "graph_cells_within_se",
-                "value": results["flagged_cells"],
-                "tolerance": 0,
-                "pass": results["flagged_cells"] == 0,
-            }
-        ],
-    )
+    flagged = results["flagged_cells"]
+    inputs = {"n": args.n, "draws": args.draws, "exact_schedule": exact_doc}
+    return inputs, results, _check("graph_cells_within_se", flagged, 0, flagged == 0)
 
 
 # ---------------------------------------------------------------------------
-# Parser
+# Command table
 # ---------------------------------------------------------------------------
 
-def _add_schedule_flag(parser: argparse.ArgumentParser, required: bool = True) -> None:
-    parser.add_argument(
-        "--schedule",
-        required=required,
-        help='schedule JSON, e.g. \'{"kind":"geometric","alpha":0.5,"c":1}\' ("-" reads stdin)',
-    )
+def _seed(text: str) -> int:
+    try:
+        seed = int(text)
+        if 0 <= seed < SEED_LIMIT:
+            return seed
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be an integer in [0, 2^64), got {text!r}")
+
+
+class Command(NamedTuple):
+    help: str
+    flags: tuple[tuple[str, dict], ...]
+    run: Callable
+
+
+def _flag(name: str, **spec) -> tuple[str, dict]:
+    return name, spec
+
+
+# flags whose value is a JSON document, decoded in this order before a row runs
+JSON_FLAGS = (
+    "--schedule", "--exact-schedule", "--support", "--graph", "--subset", "--row", "--atoms"
+)
+
+SCHEDULE_HELP = 'schedule JSON, e.g. \'{"kind":"geometric","alpha":0.5,"c":1}\''
+SCHEDULE = _flag("--schedule", required=True, help=SCHEDULE_HELP)
+GRAPH = _flag("--graph", required=True, help='graph JSON {"n":..,"edges":[[i,j],..]}')
+SUBSET = _flag("--subset", required=True, help="JSON list of vertices, e.g. [1,2]")
+N = _flag("--n", type=int, required=True, help="ground-set size (level)")
+SEED = _flag("--seed", type=_seed, required=True, help="seed in [0, 2^64)")
+EXACT_TOL = _flag("--tol", type=float, default=1e-10)
+
+COMMANDS = {
+    "sample": Command(
+        "draw the process and project it to a graph",
+        (
+            SCHEDULE,
+            N,
+            SEED,
+            _flag("--draws", type=int, default=1, help="number of draws; draw i uses seed+i"),
+            _flag(
+                "--method",
+                choices=[METHOD_INVERSION, METHOD_BERNOULLI],
+                default=METHOD_INVERSION,
+                help="full multiplicities or support-only fast path",
+            ),
+        ),
+        _sample,
+    ),
+    "covers": Command("enumerate all generating classes projecting to a graph", (GRAPH,), _covers),
+    "graph-prob": Command("exact probability of one graph", (SCHEDULE, GRAPH), _graph_prob),
+    "cluster-prob": Command(
+        "P(subset is itself a latent point | graph)", (SCHEDULE, GRAPH, SUBSET), _cluster
+    ),
+    "coarse-cluster-prob": Command(
+        "P(some latent point covers subset | graph)", (SCHEDULE, GRAPH, SUBSET), _cluster
+    ),
+    "classify": Command(
+        "posterior over extended supports given a grown graph",
+        (
+            SCHEDULE,
+            _flag("--support", required=True, help='family JSON {"n":..,"members":[[..],..]}'),
+            _flag("--graph", required=True, help="observed graph on n+1 vertices"),
+        ),
+        _classify,
+    ),
+    "transitivity": Command("P(2~3 | 1~2, 1~3) at n=3", (SCHEDULE,), _transitivity),
+    "schedule check": Command(
+        "verify the cross-level recurrence",
+        (
+            _flag("--schedule", help=SCHEDULE_HELP + " (wins over --kind)"),
+            _flag("--kind", choices=["geometric", "beta_uniform", "moment_atoms"]),
+            _flag("--alpha", type=float),
+            _flag("--c", type=float),
+            _flag("--atoms", help="JSON [[x,w],...] for --kind moment_atoms"),
+            _flag("--nmax", type=int, required=True),
+            _flag("--tol", type=float, default=1e-12),
+        ),
+        _schedule_check,
+    ),
+    "schedule derive": Command(
+        "fill all lower levels from one top row",
+        (_flag("--row", required=True, help="JSON list: rates at the top level"),),
+        _schedule_derive,
+    ),
+    "check-consistency": Command(
+        "exact restriction-marginal agreement across levels",
+        (SCHEDULE, N, _flag("--m", type=int, help="lower level (default: all m < n)"), EXACT_TOL),
+        _check_consistency,
+    ),
+    "check-exchangeability": Command(
+        "exact relabeling invariance of the graph law",
+        (SCHEDULE, N, EXACT_TOL),
+        _check_exchangeability,
+    ),
+    "mc-vs-exact": Command(
+        "Monte Carlo graph frequencies against the exact law",
+        (
+            SCHEDULE,
+            N,
+            _flag("--draws", type=int, required=True),
+            SEED,
+            _flag("--exact-schedule", help="use this schedule's exact law (negative control)"),
+            _flag("--se-factor", type=float, default=MC_SE_FACTOR),
+        ),
+        _mc_vs_exact,
+    ),
+}
+GROUPS = {"schedule": "rate-schedule utilities"}
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="poissonclique",
         description="Exact laws, conditional inference, and simulation for the "
-        "subset-process graph model.",
+        "subset-process graph model.  Flags taking JSON accept \"-\" to read standard input.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("sample", help="draw the process and project it to a graph")
-    _add_schedule_flag(p)
-    p.add_argument("--n", type=int, required=True, help="ground-set size")
-    p.add_argument("--seed", type=int, required=True, help="64-bit seed (draw i uses seed+i)")
-    p.add_argument("--draws", type=int, default=1, help="number of pipeline draws (default 1)")
-    p.add_argument(
-        "--method",
-        choices=[METHOD_INVERSION, METHOD_BERNOULLI],
-        default=METHOD_INVERSION,
-        help="full multiplicities or support-only fast path",
-    )
-    p.set_defaults(handler=_cmd_sample)
-
-    p = sub.add_parser("covers", help="enumerate all generating classes projecting to a graph")
-    p.add_argument("--graph", required=True, help='graph JSON {"n":..,"edges":[[i,j],..]}')
-    p.set_defaults(handler=_cmd_covers)
-
-    p = sub.add_parser("graph-prob", help="exact probability of one graph")
-    _add_schedule_flag(p)
-    p.add_argument("--graph", required=True)
-    p.set_defaults(handler=_cmd_graph_prob)
-
-    p = sub.add_parser("cluster-prob", help="P(subset is itself a latent point | graph)")
-    _add_schedule_flag(p)
-    p.add_argument("--graph", required=True)
-    p.add_argument("--subset", required=True, help="JSON list of vertices, e.g. [1,2]")
-    p.set_defaults(handler=_cmd_cluster_prob)
-
-    p = sub.add_parser("coarse-cluster-prob", help="P(some latent point covers subset | graph)")
-    _add_schedule_flag(p)
-    p.add_argument("--graph", required=True)
-    p.add_argument("--subset", required=True)
-    p.set_defaults(handler=_cmd_coarse_cluster_prob)
-
-    p = sub.add_parser("classify", help="posterior over extended supports given a grown graph")
-    _add_schedule_flag(p)
-    p.add_argument("--support", required=True, help='family JSON {"n":..,"members":[[..],..]}')
-    p.add_argument("--graph", required=True, help="observed graph on n+1 vertices")
-    p.set_defaults(handler=_cmd_classify)
-
-    p = sub.add_parser("transitivity", help="P(2~3 | 1~2, 1~3) at n=3")
-    _add_schedule_flag(p)
-    p.set_defaults(handler=_cmd_transitivity)
-
-    p = sub.add_parser("schedule", help="rate-schedule utilities")
-    ssub = p.add_subparsers(dest="schedule_command", required=True)
-
-    pc = ssub.add_parser("check", help="verify the cross-level recurrence")
-    _add_schedule_flag(pc, required=False)
-    pc.add_argument("--kind", choices=["geometric", "beta_uniform", "moment_atoms"])
-    pc.add_argument("--alpha", type=float)
-    pc.add_argument("--c", type=float, default=1.0)
-    pc.add_argument("--atoms", help='JSON [[x,w],...] for --kind moment_atoms')
-    pc.add_argument("--nmax", type=int, required=True)
-    pc.add_argument("--tol", type=float, default=1e-12)
-    pc.set_defaults(handler=_cmd_schedule_check)
-
-    pd = ssub.add_parser("derive", help="fill all lower levels from one top row")
-    pd.add_argument("--row", required=True, help="JSON list: rates at the top level")
-    pd.set_defaults(handler=_cmd_schedule_derive)
-
-    p = sub.add_parser(
-        "check-consistency", help="exact restriction-marginal agreement across levels"
-    )
-    _add_schedule_flag(p)
-    p.add_argument("--n", type=int, required=True, help="upper level")
-    p.add_argument("--m", type=int, help="lower level (default: all m < n)")
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.set_defaults(handler=_cmd_check_consistency)
-
-    p = sub.add_parser("check-exchangeability", help="exact relabeling invariance of the graph law")
-    _add_schedule_flag(p)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.set_defaults(handler=_cmd_check_exchangeability)
-
-    p = sub.add_parser("mc-vs-exact", help="Monte Carlo graph frequencies against the exact law")
-    _add_schedule_flag(p)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--draws", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument(
-        "--exact-schedule",
-        help="compare against this schedule's exact law instead (negative control)",
-    )
-    p.add_argument("--se-factor", type=float, default=MC_SE_FACTOR)
-    p.set_defaults(handler=_cmd_mc_vs_exact)
-
+    groups = {"": parser.add_subparsers(dest="command", required=True)}
+    for name, command in COMMANDS.items():
+        group, _, leaf = name.rpartition(" ")
+        if group not in groups:
+            nested = groups[""].add_parser(group, help=GROUPS[group])
+            groups[group] = nested.add_subparsers(dest=f"{group}_command", required=True)
+        # a flag that is neither given nor defaulted is absent from the namespace
+        p = groups[group].add_parser(leaf, help=command.help, argument_default=argparse.SUPPRESS)
+        for flag, spec in command.flags:
+            p.add_argument(flag, **spec)
+        p.set_defaults(command=name)
     return parser
+
+
+def _load_json(text: str, flag: str):
+    if text == "-":
+        text = sys.stdin.read()
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"invalid JSON for {flag}: {exc}") from None
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -495,8 +371,22 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: POISSONCLIQUE_MAX_N must be an integer, got {cap_text!r}", file=sys.stderr)
         return 2
     try:
-        report = args.handler(args, cap)
-        text = dumps(report.to_dict())
+        for flag in JSON_FLAGS:
+            dest = flag[2:].replace("-", "_")
+            if dest in args:
+                setattr(args, dest, _load_json(getattr(args, dest), flag))
+        inputs, results, checks = COMMANDS[args.command].run(args, cap)
+        report = {
+            "format_version": FORMAT_VERSION,
+            "command": args.command,
+            "inputs": inputs,
+            "schedule": getattr(args, "schedule", None),
+            "seed": getattr(args, "seed", None),
+            "results": results,
+            "checks": checks,
+            "ok": all(check["pass"] for check in checks),
+        }
+        text = dumps(report)
     except ResourceCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -504,4 +394,4 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     sys.stdout.write(text)
-    return 0 if report.ok else 1
+    return 0 if report["ok"] else 1

@@ -169,11 +169,6 @@ def constant_table(n: int, value: float) -> TableSchedule:
     return TableSchedule({m: (value,) * (m + 1) for m in range(n + 1)})
 
 
-def from_moment_measure(atoms: Sequence[tuple[float, float]]) -> MomentAtomsSchedule:
-    """Schedule of moments of the atomic measure sum_k w_k * delta_{x_k}."""
-    return MomentAtomsSchedule(tuple(atoms))
-
-
 @dataclass(frozen=True)
 class ConsistencyReport:
     """Outcome of checking the cross-level recurrence up to a top level."""
@@ -232,10 +227,6 @@ def derive_lower(top_row: Sequence[float]) -> TableSchedule:
         row = tuple(row[r] + row[r + 1] for r in range(len(row) - 1))
         rows[len(row) - 1] = row
     return TableSchedule(rows)
-
-
-def schedule_to_dict(schedule: RateSchedule) -> dict:
-    return schedule.to_dict()
 
 
 def schedule_from_dict(doc: Mapping) -> RateSchedule:

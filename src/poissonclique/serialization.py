@@ -3,9 +3,11 @@
 Graphs: {"n": int, "edges": [[i, j], ...]} with 1-based vertices, i < j, sorted.
 Families and covers: {"n": int, "members": [[sorted ints], ...]} with the empty
 set as [] and members in ascending bit-pattern order.  Realizations add counts
-and the sampling metadata.  ``dumps`` output is byte-stable: keys sorted, two
-space indent, trailing newline; floats use Python repr, the shortest string
-that parses back to the same value.
+and the sampling metadata.  Every n, vertex label, count and seed must be a
+JSON integer: readers reject floats and booleans instead of truncating them.
+``dumps`` output is byte-stable: keys sorted, two space indent, trailing
+newline; floats use Python repr, the shortest string that parses back to the
+same value.
 """
 
 from __future__ import annotations
@@ -15,13 +17,14 @@ from typing import Mapping
 
 from .lattice import GeneratingClass, Graph, SubsetFamily, elements_of, mask_of
 from .sampling import PipelineSample, PointProcessRealization
-from .schedules import schedule_from_dict, schedule_to_dict
+from .schedules import schedule_from_dict
 
 FORMAT_VERSION = 1
 
 __all__ = [
     "FORMAT_VERSION",
     "dumps",
+    "require_int",
     "graph_to_dict",
     "graph_from_dict",
     "family_to_dict",
@@ -32,7 +35,6 @@ __all__ = [
     "realization_from_dict",
     "sample_to_dict",
     "sample_from_dict",
-    "schedule_to_dict",
     "schedule_from_dict",
 ]
 
@@ -49,15 +51,22 @@ def _require(doc: Mapping, key: str, expected: str):
         raise ValueError(f"{expected} document needs a {key!r} field") from None
 
 
+def require_int(value, what: str) -> int:
+    """``value`` itself if it is an int; a float (even 2.0), string or bool raises ValueError."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def graph_to_dict(graph: Graph) -> dict:
     return {"n": graph.n, "edges": [[i, j] for i, j in graph.sorted_edges()]}
 
 
 def graph_from_dict(doc: Mapping) -> Graph:
-    n = int(_require(doc, "n", "graph"))
+    n = require_int(_require(doc, "n", "graph"), "graph n")
     edges = _require(doc, "edges", "graph")
     try:
-        pairs = [(int(i), int(j)) for i, j in edges]
+        pairs = [(require_int(i, "vertex"), require_int(j, "vertex")) for i, j in edges]
     except (TypeError, ValueError) as exc:
         raise ValueError(f"malformed edge list: {exc}") from None
     return Graph.from_edges(n, pairs)
@@ -68,10 +77,12 @@ def family_to_dict(family: SubsetFamily) -> dict:
 
 
 def family_from_dict(doc: Mapping) -> SubsetFamily:
-    n = int(_require(doc, "n", "family"))
+    n = require_int(_require(doc, "n", "family"), "family n")
     members = _require(doc, "members", "family")
     try:
-        masks = frozenset(mask_of((int(e) for e in member), n) for member in members)
+        masks = frozenset(
+            mask_of((require_int(e, "vertex") for e in member), n) for member in members
+        )
     except TypeError as exc:
         raise ValueError(f"malformed member list: {exc}") from None
     return SubsetFamily(n, masks)
@@ -99,13 +110,13 @@ def realization_to_dict(realization: PointProcessRealization) -> dict:
 
 
 def realization_from_dict(doc: Mapping) -> PointProcessRealization:
-    n = int(_require(doc, "n", "realization"))
+    n = require_int(_require(doc, "n", "realization"), "realization n")
     counts = {}
     for entry in _require(doc, "counts", "realization"):
-        counts[mask_of((int(e) for e in entry["subset"]), n)] = int(entry["count"])
-    return PointProcessRealization(
-        n, counts, int(_require(doc, "seed", "realization")), str(_require(doc, "method", "realization"))
-    )
+        subset = mask_of((require_int(e, "vertex") for e in entry["subset"]), n)
+        counts[subset] = require_int(entry["count"], "count")
+    seed = require_int(_require(doc, "seed", "realization"), "realization seed")
+    return PointProcessRealization(n, counts, seed, str(_require(doc, "method", "realization")))
 
 
 def sample_to_dict(sample: PipelineSample) -> dict:

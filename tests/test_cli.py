@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import poissonclique
-from poissonclique.cli import main
+from poissonclique.cli import COMMANDS, JSON_FLAGS, main
 
 LN2 = "0.6931471805599453"
 LN2_TABLE_3 = '{"kind":"table","n":3,"rows":{"3":[%s,%s,%s,%s]}}' % (LN2, LN2, LN2, LN2)
@@ -353,3 +353,108 @@ def test_module_entry_point():
     assert completed.returncode == 0
     doc = json.loads(completed.stdout)
     assert math.isclose(doc["results"]["prob"], 0.5, abs_tol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Table-driven contracts
+# ---------------------------------------------------------------------------
+
+# one valid invocation per command; a JSON flag missing here is appended with JSON_VALUES
+BASE_ARGV = {
+    "sample": ["--schedule", GEOM_HALF, "--n", "3", "--seed", "4", "--draws", "2"],
+    "covers": ["--graph", TRIANGLE],
+    "graph-prob": ["--graph", TRIANGLE, "--schedule", GEOM_HALF],
+    "cluster-prob": ["--graph", TRIANGLE, "--subset", "[2,1]", "--schedule", LN2_TABLE_3],
+    "coarse-cluster-prob": ["--graph", TRIANGLE, "--subset", "[1,2]", "--schedule", LN2_TABLE_3],
+    "classify": ["--support", '{"n":2,"members":[[1,2]]}', "--graph", TRIANGLE]
+    + ["--schedule", GEOM_HALF],
+    "transitivity": ["--schedule", GEOM_HALF],
+    "schedule check": ["--kind", "moment_atoms", "--atoms", "[[0.3,1],[0.8,2]]", "--nmax", "4"],
+    "schedule derive": ["--row", "[0.125,0.125,0.125]"],
+    "check-consistency": ["--schedule", GEOM_HALF, "--n", "3"],
+    "check-exchangeability": ["--schedule", GEOM_HALF, "--n", "3"],
+    "mc-vs-exact": ["--schedule", GEOM_HALF, "--n", "3", "--draws", "200", "--seed", "2"],
+}
+JSON_VALUES = {"--schedule": GEOM_HALF, "--exact-schedule": GEOM_HALF}
+JSON_FLAG_CASES = [
+    (name, flag)
+    for name, command in COMMANDS.items()
+    for flag, _ in command.flags
+    if flag in JSON_FLAGS
+]
+
+
+@pytest.mark.parametrize("name, flag", JSON_FLAG_CASES, ids=[" ".join(c) for c in JSON_FLAG_CASES])
+def test_every_json_flag_reads_stdin(name, flag, capsys, monkeypatch):
+    argv = name.split() + BASE_ARGV[name]
+    if flag not in argv:
+        argv += [flag, JSON_VALUES[flag]]
+    at = argv.index(flag) + 1
+    code, inline, err = run_cli(argv, capsys)
+    assert code == 0, err
+    monkeypatch.setattr("sys.stdin", __import__("io").StringIO(argv[at]))
+    code, piped, err = run_cli(argv[:at] + ["-"] + argv[at + 1 :], capsys)
+    assert code == 0, err
+    assert piped == inline
+
+
+@pytest.mark.parametrize("command", ["sample", "mc-vs-exact"])
+@pytest.mark.parametrize("seed", ["-1", str(1 << 64)])
+def test_seed_outside_64_bits_exits_2(command, seed, capsys):
+    argv = command.split() + BASE_ARGV[command]
+    argv[argv.index("--seed") + 1] = seed
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--seed" in captured.err
+
+
+def test_sample_successive_seeds_wrap_modulo_2_64(capsys):
+    # the last in-range seed is accepted; its successor wraps to 0
+    last = (1 << 64) - 1
+    argv = ["sample", "--schedule", GEOM_HALF, "--n", "2", "--seed", str(last), "--draws", "2"]
+    code, doc = run_json(argv, capsys)
+    assert code == 0
+    assert doc["seed"] == last
+    assert [s["realization"]["seed"] for s in doc["results"]["samples"]] == [last, 0]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["graph-prob", "--graph", '{"n":3.7,"edges":[[1,2]]}', "--schedule", GEOM_HALF],
+        ["graph-prob", "--graph", '{"n":3,"edges":[[1,2.5]]}', "--schedule", GEOM_HALF],
+        ["graph-prob", "--graph", '{"n":3,"edges":[[true,3]]}', "--schedule", GEOM_HALF],
+        ["cluster-prob", "--graph", TRIANGLE, "--subset", "[1.9,2]", "--schedule", GEOM_HALF],
+        ["cluster-prob", "--graph", TRIANGLE, "--subset", "[true,2]", "--schedule", GEOM_HALF],
+        ["classify", "--support", '{"n":2,"members":[[1,2.0]]}', "--graph", TRIANGLE]
+        + ["--schedule", GEOM_HALF],
+    ],
+    ids=["graph n", "edge label", "bool label", "subset float", "subset bool", "support label"],
+)
+def test_non_integer_labels_exit_2(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert "integer" in err
+
+
+@pytest.mark.parametrize(
+    "flags, missing",
+    [(["--kind", "geometric"], "alpha"), (["--kind", "moment_atoms"], "atoms")],
+)
+def test_schedule_check_shorthand_missing_field(flags, missing, capsys):
+    code, out, err = run_cli(["schedule", "check", *flags, "--nmax", "3"], capsys)
+    assert code == 2
+    assert out == ""
+    assert f"malformed '{flags[1]}' schedule document: '{missing}'" in err
+
+
+def test_schedule_check_shorthand_echoes_the_parsed_schedule(capsys):
+    # a flag the kind has no field for is dropped, as schedule_from_dict drops it
+    argv = ["schedule", "check", "--kind", "beta_uniform", "--alpha", "0.3", "--nmax", "3"]
+    code, doc = run_json(argv, capsys)
+    assert code == 0
+    assert doc["schedule"] == {"kind": "beta_uniform", "c": 1.0}

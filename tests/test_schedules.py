@@ -14,9 +14,7 @@ from poissonclique.schedules import (
     check_consistency,
     constant_table,
     derive_lower,
-    from_moment_measure,
     schedule_from_dict,
-    schedule_to_dict,
 )
 
 from oracles import random_schedule
@@ -186,11 +184,11 @@ def test_derive_lower_rejects_bad_rows():
 
 
 def test_from_moment_measure():
-    s = from_moment_measure([(0.5, 1.0)])
+    s = MomentAtomsSchedule(((0.5, 1.0),))
     assert isinstance(s, MomentAtomsSchedule)
     assert s.rate(4, 2) == 0.5**4
     with pytest.raises(ValueError):
-        from_moment_measure([(-0.2, 1.0)])
+        MomentAtomsSchedule(((-0.2, 1.0),))
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +203,7 @@ def test_schedule_dict_roundtrip():
         TableSchedule({3: (0.1, 0.2, 0.3, 0.4), 2: (0.3, 0.5, 0.7)}),
     ]
     for s in examples:
-        doc = schedule_to_dict(s)
+        doc = s.to_dict()
         assert schedule_from_dict(doc) == s
         assert schedule_from_dict(json.loads(json.dumps(doc))) == s
 

@@ -13,6 +13,7 @@ from poissonclique.serialization import (
     graph_to_dict,
     realization_from_dict,
     realization_to_dict,
+    require_int,
     sample_from_dict,
     sample_to_dict,
 )
@@ -78,3 +79,35 @@ def test_dumps_rejects_non_finite_floats():
     for bad in (float("nan"), float("inf"), -float("inf")):
         with pytest.raises(ValueError):
             dumps({"prob": bad})
+
+
+REALIZATION = {"n": 3, "seed": 1, "method": "inversion", "counts": []}
+
+
+@pytest.mark.parametrize(
+    "reader, doc",
+    [
+        (graph_from_dict, {"n": 3.7, "edges": [[1, 2]]}),
+        (graph_from_dict, {"n": 3, "edges": [[1, 2.5]]}),
+        (graph_from_dict, {"n": 3, "edges": [[True, 3]]}),
+        (graph_from_dict, {"n": 3, "edges": [["1", 3]]}),
+        (graph_from_dict, {"n": True, "edges": []}),
+        (family_from_dict, {"n": 3, "members": [[1.9, 2]]}),
+        (family_from_dict, {"n": 2.0, "members": [[1]]}),
+        (cover_from_dict, {"n": 3, "members": [[False]]}),
+        (realization_from_dict, {**REALIZATION, "counts": [{"subset": [1.5], "count": 1}]}),
+        (realization_from_dict, {**REALIZATION, "counts": [{"subset": [1], "count": 1.5}]}),
+        (realization_from_dict, {**REALIZATION, "seed": 1.0}),
+    ],
+)
+def test_readers_reject_non_integer_labels(reader, doc):
+    with pytest.raises(ValueError, match="integer"):
+        reader(doc)
+
+
+def test_require_int_accepts_only_int():
+    assert require_int(7, "x") == 7
+    assert require_int(1 << 70, "x") == 1 << 70
+    for bad in (7.0, True, "7", None):
+        with pytest.raises(ValueError, match="x must be an integer"):
+            require_int(bad, "x")
