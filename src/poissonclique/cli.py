@@ -37,8 +37,12 @@ from .inference import (
     transitivity_conditional,
 )
 from .lattice import ResourceCapError, elements_of, mask_of
-from .sampling import METHOD_BERNOULLI, METHOD_INVERSION, sample_graph_batch, sample_pipeline
-from .schedules import RateSchedule, check_consistency, derive_lower, schedule_from_dict
+from .sampling import (
+    METHOD_INVERSION, METHODS, SEED_LIMIT, check_seed, sample_graph_batch, sample_pipeline
+)
+from .schedules import (
+    RateSchedule, check_consistency, derive_lower, require_real, schedule_from_dict
+)
 from .serialization import (
     FORMAT_VERSION,
     cover_to_dict,
@@ -54,7 +58,6 @@ from .serialization import (
 MC_SE_FACTOR = 4.0
 MC_CELL_ATOL = 1e-12
 MC_TABLE_LIMIT = 1 << 10
-SEED_LIMIT = 1 << 64
 
 
 def mc_vs_exact(
@@ -181,7 +184,7 @@ def _schedule_check(args, cap):
 def _schedule_derive(args, cap):
     if not isinstance(args.row, list):
         raise ValueError("--row must be a JSON list of rates")
-    row = [float(v) for v in args.row]
+    row = [require_real(v, "rate") for v in args.row]
     return {"row": row}, {"schedule": derive_lower(row).to_dict()}, []
 
 
@@ -222,12 +225,9 @@ def _mc_vs_exact(args, cap):
 
 def _seed(text: str) -> int:
     try:
-        seed = int(text)
-        if 0 <= seed < SEED_LIMIT:
-            return seed
+        return check_seed(int(text))
     except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"must be an integer in [0, 2^64), got {text!r}")
+        raise argparse.ArgumentTypeError(f"must be an integer in [0, 2^64), got {text!r}") from None
 
 
 class Command(NamedTuple):
@@ -263,7 +263,7 @@ COMMANDS = {
             _flag("--draws", type=int, default=1, help="number of draws; draw i uses seed+i"),
             _flag(
                 "--method",
-                choices=[METHOD_INVERSION, METHOD_BERNOULLI],
+                choices=METHODS,
                 default=METHOD_INVERSION,
                 help="full multiplicities or support-only fast path",
             ),

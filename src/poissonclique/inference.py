@@ -126,11 +126,13 @@ def _cover_weight(
     return walk(0, target)
 
 
-def enumerate_monotone_covers(graph: Graph, *, clique_cap: int = CLIQUE_SUBSET_CAP) -> CoverEnumeration:
+def enumerate_monotone_covers(graph: Graph) -> CoverEnumeration:
     """All generating classes of cliques (cardinality >= 2) projecting exactly to ``graph``."""
     cliques = clique_set(graph)
-    if len(cliques) > clique_cap:
-        raise ResourceCapError(f"graph has {len(cliques)} cliques, enumeration cap is {clique_cap}")
+    if len(cliques) > CLIQUE_SUBSET_CAP:
+        raise ResourceCapError(
+            f"graph has {len(cliques)} cliques, enumeration cap is {CLIQUE_SUBSET_CAP}"
+        )
     pmt = pair_masks(graph.n)
     target = graph_to_edge_mask(graph)
     k = len(cliques)

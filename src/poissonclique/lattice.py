@@ -63,11 +63,6 @@ def mask_leq(a: int, b: int) -> bool:
     return a & ~b == 0
 
 
-def restrict_mask(a: int, m: int) -> int:
-    """Intersect a subset with {1, ..., m}."""
-    return a & full_mask(m)
-
-
 def iter_submasks(mask: int) -> Iterator[int]:
     """All submasks of ``mask``, including 0 and ``mask`` itself."""
     sub = mask

@@ -1,8 +1,9 @@
 """Draws of the latent subset process and its projection to a graph.
 
 Randomness contract: subset ``a`` under seed ``s`` reads from the counter-based
-stream Philox(key=(s, a)), independent of every other subset and of evaluation
-order.  A single draw consumes one uniform per subset with positive rate
+stream Philox(key=(s, a)), for every seed in [0, 2^64), independent of every
+other subset and of evaluation order; one place, ``_streams``, builds the keys,
+as uint64.  A single draw consumes one uniform per subset with positive rate
 (inversion of the Poisson CDF), so the Bernoulli support fast path, which
 thresholds the same uniform at e^{-rate}, reproduces the support of the full
 draw exactly.  Batch draws read successive uniforms along each stream: draw
@@ -31,6 +32,8 @@ from .schedules import RateSchedule
 
 METHOD_INVERSION = "inversion"
 METHOD_BERNOULLI = "bernoulli"
+METHODS = (METHOD_INVERSION, METHOD_BERNOULLI)
+SEED_LIMIT = 1 << 64
 
 # beyond this the CDF walk would underflow; hand off to the library sampler
 _INVERSION_MAX_RATE = 700.0
@@ -50,6 +53,8 @@ class PointProcessRealization:
     method: str
 
     def __post_init__(self) -> None:
+        check_seed(self.seed)
+        check_method(self.method)
         top = full_mask(self.n)
         clean = {}
         for mask, count in sorted(dict(self.counts).items()):
@@ -83,14 +88,32 @@ class PipelineSample:
         return self.realization.seed
 
 
-def _check_seed(seed: int) -> int:
-    if not 0 <= seed < 1 << 64:
-        raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
+def check_seed(seed: int) -> int:
+    """``seed`` itself if it is an int in [0, 2^64); anything else raises ValueError."""
+    if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < SEED_LIMIT:
+        raise ValueError(f"seed must be an integer in [0, 2^64), got {seed!r}")
     return seed
 
 
-def _stream(seed: int, mask: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=[seed, mask]))
+def check_method(method: str) -> str:
+    if method not in METHODS:
+        raise ValueError(f"unknown sampling method {method!r}")
+    return method
+
+
+def _streams(schedule: RateSchedule, n: int, seed: int, smallest: int):
+    """(a, rate, stream) per subset a of [n] with >= ``smallest`` elements and positive
+    rate, in mask order.  Stream a is keyed by row a of one uint64 (seed, mask) table:
+    a key list of Python ints would pass through float64 above 2^63."""
+    check_seed(seed)
+    masks = all_masks(n)  # the power-set cap, before 2^n keys are allocated
+    keys = np.empty((len(masks), 2), dtype=np.uint64)
+    keys[:, 0], keys[:, 1] = seed, masks
+    rates = [schedule.rate(n, r) for r in range(n + 1)]
+    for a in masks:
+        rate = rates[a.bit_count()]
+        if a.bit_count() >= smallest and rate > 0.0:
+            yield a, rate, np.random.Generator(np.random.Philox(key=keys[a]))
 
 
 def _poisson_from_uniform(u: float, rate: float) -> int:
@@ -109,16 +132,9 @@ def sample_point_process(
     schedule: RateSchedule, n: int, seed: int, *, method: str = METHOD_INVERSION
 ) -> PointProcessRealization:
     """Independent Poisson counts for every subset of [n], deterministic in seed."""
-    _check_seed(seed)
-    if method not in (METHOD_INVERSION, METHOD_BERNOULLI):
-        raise ValueError(f"unknown sampling method {method!r}")
-    rates = [schedule.rate(n, r) for r in range(n + 1)]
+    check_method(method)
     counts: dict[int, int] = {}
-    for a in all_masks(n):
-        rate = rates[a.bit_count()]
-        if rate == 0.0:
-            continue
-        stream = _stream(seed, a)
+    for a, rate, stream in _streams(schedule, n, seed, 0):
         if method == METHOD_BERNOULLI:
             count = 1 if stream.random() >= math.exp(-rate) else 0
         elif rate > _INVERSION_MAX_RATE:
@@ -151,18 +167,10 @@ def sample_graph_batch(schedule: RateSchedule, n: int, draws: int, seed: int) ->
     Draw d thresholds the d-th uniform of stream (seed, a) for every subset a,
     so the batch is deterministic and its first column matches single draws.
     """
-    _check_seed(seed)
     if draws < 0:
         raise ValueError("draws must be non-negative")
-    rates = [schedule.rate(n, r) for r in range(n + 1)]
     pmt = pair_masks(n)
     out = np.zeros(draws, dtype=np.int64)
-    for a in all_masks(n):
-        if a.bit_count() < 2:
-            continue
-        rate = rates[a.bit_count()]
-        if rate == 0.0:
-            continue
-        uniforms = _stream(seed, a).random(draws)
-        out[uniforms >= math.exp(-rate)] |= pmt[a]
+    for a, rate, stream in _streams(schedule, n, seed, 2):
+        out[stream.random(draws) >= math.exp(-rate)] |= pmt[a]
     return out

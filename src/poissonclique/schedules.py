@@ -229,21 +229,44 @@ def derive_lower(top_row: Sequence[float]) -> TableSchedule:
     return TableSchedule(rows)
 
 
+def require_real(value, what: str) -> float:
+    """``value`` as a float if it is a JSON number (int or float); a bool, None or
+    string raises ValueError, as does an integer beyond the float range."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{what} is beyond the float range") from None
+
+
 def schedule_from_dict(doc: Mapping) -> RateSchedule:
-    """Parse {"kind": ..., parameters...}; raises ValueError on malformed input."""
+    """Parse {"kind": ..., parameters...}; raises ValueError on malformed input.
+
+    Every parameter and rate must be a JSON number (``require_real``).
+    """
     try:
         kind = doc["kind"]
     except (TypeError, KeyError):
         raise ValueError("schedule document must be an object with a 'kind' field") from None
     try:
         if kind == "geometric":
-            return GeometricSchedule(alpha=float(doc["alpha"]), c=float(doc.get("c", 1.0)))
+            alpha, c = require_real(doc["alpha"], "alpha"), require_real(doc.get("c", 1.0), "c")
+            return GeometricSchedule(alpha=alpha, c=c)
         if kind == "beta_uniform":
-            return BetaUniformSchedule(c=float(doc.get("c", 1.0)))
+            return BetaUniformSchedule(c=require_real(doc.get("c", 1.0), "c"))
         if kind == "moment_atoms":
-            return MomentAtomsSchedule(tuple((float(x), float(w)) for x, w in doc["atoms"]))
+            return MomentAtomsSchedule(
+                tuple(
+                    (require_real(x, "atom location"), require_real(w, "atom weight"))
+                    for x, w in doc["atoms"]
+                )
+            )
         if kind == "table":
-            return TableSchedule({int(level): tuple(row) for level, row in doc["rows"].items()})
+            rows = doc["rows"].items()
+            return TableSchedule(
+                {int(level): tuple(require_real(v, "rate") for v in row) for level, row in rows}
+            )
     except ValueError:
         raise
     except (TypeError, KeyError, AttributeError) as exc:

@@ -5,6 +5,8 @@ Families and covers: {"n": int, "members": [[sorted ints], ...]} with the empty
 set as [] and members in ascending bit-pattern order.  Realizations add counts
 and the sampling metadata.  Every n, vertex label, count and seed must be a
 JSON integer: readers reject floats and booleans instead of truncating them.
+A realization's seed must also lie in [0, 2^64) and its method must be one the
+sampler knows; ``PointProcessRealization`` checks both, as the samplers do.
 ``dumps`` output is byte-stable: keys sorted, two space indent, trailing
 newline; floats use Python repr, the shortest string that parses back to the
 same value.
@@ -115,8 +117,8 @@ def realization_from_dict(doc: Mapping) -> PointProcessRealization:
     for entry in _require(doc, "counts", "realization"):
         subset = mask_of((require_int(e, "vertex") for e in entry["subset"]), n)
         counts[subset] = require_int(entry["count"], "count")
-    seed = require_int(_require(doc, "seed", "realization"), "realization seed")
-    return PointProcessRealization(n, counts, seed, str(_require(doc, "method", "realization")))
+    seed, method = _require(doc, "seed", "realization"), _require(doc, "method", "realization")
+    return PointProcessRealization(n, counts, seed, method)  # checks the seed and the method
 
 
 def sample_to_dict(sample: PipelineSample) -> dict:

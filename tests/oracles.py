@@ -5,7 +5,9 @@ rebuilt from the raw independence picture (one presence coin per subset of [n],
 success probability 1 - e^{-rate}), and graphs are read straight off family
 members.  Family sweeps cost 2^(2^n), so keep n <= 3; the relabeling sweep
 costs n! passes over the law, so keep n <= 6 there.  The per-bit butterfly
-walks all 2^C(n,2) edge masks once per edge bit, so n <= 7.
+walks all 2^C(n,2) edge masks once per edge bit, so n <= 7.  The keyed-stream
+draws rebuild each subset's Philox stream from its own uint64 key, one subset
+at a time, without the sampler's loop.
 """
 
 import itertools
@@ -121,3 +123,55 @@ def butterfly_law(n: int, rates) -> np.ndarray:
         view = law.reshape(-1, 2, 1 << b)
         view[:, 1, :] -= view[:, 0, :]
     return law
+
+
+def keyed_stream(seed: int, a: int) -> np.random.Generator:
+    """Subset a's stream under ``seed``: Philox keyed by the uint64 pair (seed, a)."""
+    return np.random.Generator(np.random.Philox(key=np.array([seed, a], dtype=np.uint64)))
+
+
+def keyed_counts(schedule, n: int, seed: int, method: str) -> dict[int, int]:
+    """One draw's nonzero counts from the first uniform u of each positive-rate stream.
+
+    "bernoulli": 1 when u >= e^{-rate}.  "inversion": the least k whose Poisson
+    CDF, summed term by term, exceeds u; a rate above 700 reads the stream's own
+    Poisson sampler instead.
+    """
+    counts = {}
+    for a in range(1 << n):
+        rate = schedule.rate(n, bin(a).count("1"))
+        if rate <= 0.0:
+            continue
+        stream = keyed_stream(seed, a)
+        if method == "bernoulli":
+            count = int(stream.random() >= math.exp(-rate))
+        elif rate > 700.0:
+            count = int(stream.poisson(rate))
+        else:
+            u = stream.random()
+            count, term = 0, math.exp(-rate)
+            cdf = term
+            while cdf <= u:
+                count += 1
+                term *= rate / count
+                cdf += term
+        if count:
+            counts[a] = count
+    return counts
+
+
+def keyed_graph_batch(schedule, n: int, draws: int, seed: int) -> np.ndarray:
+    """Edge masks of ``draws`` graphs: draw d holds the pairs of every subset a with
+    at least two elements whose stream's d-th uniform reaches e^{-rate}.  Edge
+    (i, j), i < j, sits at bit (j-1)(j-2)/2 + i-1."""
+    out = np.zeros(draws, dtype=np.int64)
+    for a in range(1 << n):
+        labels = [i for i in range(1, n + 1) if a >> (i - 1) & 1]
+        rate = schedule.rate(n, len(labels))
+        if len(labels) < 2 or rate <= 0.0:
+            continue
+        pairs = 0
+        for i, j in itertools.combinations(labels, 2):
+            pairs |= 1 << ((j - 1) * (j - 2) // 2 + i - 1)
+        out[keyed_stream(seed, a).random(draws) >= math.exp(-rate)] |= pairs
+    return out

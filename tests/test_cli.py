@@ -442,6 +442,43 @@ def test_non_integer_labels_exit_2(argv, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["schedule", "derive", "--row", "[null]"],
+        ["schedule", "derive", "--row", "[true, 1]"],
+        ["schedule", "derive", "--row", '["0.5", 1]'],
+        ["transitivity", "--schedule", '{"kind":"beta_uniform","c":true}'],
+        ["transitivity", "--schedule", '{"kind":"geometric","alpha":"0.25","c":"2"}'],
+        ["transitivity", "--schedule", '{"kind":"moment_atoms","atoms":[["0.3",true]]}'],
+        ["graph-prob", "--graph", TRIANGLE]
+        + ["--schedule", '{"kind":"table","rows":{"3":[0,0,null,1]}}'],
+    ],
+    ids=["row null", "row bool", "row string", "bool c", "string alpha", "atoms", "table null"],
+)
+def test_non_number_reals_exit_2(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert "must be a number" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["schedule", "derive", "--row", "[%d]" % 10**400],
+        ["transitivity", "--schedule", '{"kind":"beta_uniform","c":%d}' % 10**400],
+    ],
+    ids=["row", "schedule c"],
+)
+def test_integer_real_beyond_float_range_exits_2(argv, capsys):
+    # float() of such an integer raises OverflowError, which escaped as a traceback
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert "beyond the float range" in err
+
+
+@pytest.mark.parametrize(
     "flags, missing",
     [(["--kind", "geometric"], "alpha"), (["--kind", "moment_atoms"], "atoms")],
 )

@@ -1,13 +1,16 @@
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from poissonclique.inference import graph_law
 from poissonclique.lattice import (
     Graph,
     Permutation,
+    ResourceCapError,
     SubsetFamily,
     clique_graph,
     graph_to_edge_mask,
@@ -26,7 +29,7 @@ from poissonclique.sampling import (
 )
 from poissonclique.schedules import GeometricSchedule, TableSchedule, constant_table
 
-from oracles import random_schedule
+from oracles import keyed_counts, keyed_graph_batch, random_schedule
 
 GEOM = GeometricSchedule(alpha=0.5, c=1.0)
 
@@ -65,6 +68,69 @@ def test_realization_validation():
         sample_point_process(GEOM, 2, 1 << 64)
     with pytest.raises(ValueError):
         sample_point_process(GEOM, 2, 0, method="guess")
+
+
+@pytest.mark.parametrize(
+    "seed, method",
+    [(-1, "inversion"), (1 << 64, "inversion"), (2.0, "inversion"), (True, "inversion"), (0, "guess")],
+)
+def test_realization_rejects_seed_or_method_outside_the_domain(seed, method):
+    with pytest.raises(ValueError):
+        PointProcessRealization(2, {0b11: 1}, seed, method)
+
+
+def test_seed_checked_before_any_stream():
+    # an all-zero table opens no stream, and the seed is still checked; a float
+    # seed would be truncated into the key table while the realization kept it
+    zero = constant_table(3, 0.0)
+    for seed in (-1, 1 << 64, 2.0, 1.5):
+        with pytest.raises(ValueError, match="seed"):
+            sample_point_process(zero, 3, seed)
+        with pytest.raises(ValueError, match="seed"):
+            sample_graph_batch(zero, 3, 5, seed)
+
+
+def test_power_set_cap_before_key_table():
+    with pytest.raises(ResourceCapError):
+        sample_point_process(GEOM, 17, 0)
+
+
+@pytest.mark.parametrize("seed, other", [(1 << 63, (1 << 63) + 1), ((1 << 64) - 1, 0)])
+def test_seeds_from_2_63_up_keep_their_own_streams(seed, other):
+    # a key given as a list of Python ints goes through float64: 2^63 + 1 then reads
+    # 2^63's stream, and 2^64 - 1 reads seed 0's with a RuntimeWarning from the cast
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        first = sample_graph_batch(GEOM, 6, 2000, seed)
+        second = sample_graph_batch(GEOM, 6, 2000, other)
+    assert not np.array_equal(first, second)
+
+
+RATES = st.sampled_from([0.0, 0.05, 0.4, 2.5, 900.0])
+# odd seeds from 2^63 up have no float64 twin, so a key cast through float64 shows
+ODD_HIGH_SEEDS = st.integers(1 << 62, (1 << 63) - 1).map(lambda half: 2 * half + 1)
+
+
+@st.composite
+def keyed_cases(draw):
+    n = draw(st.integers(0, 6))
+    if draw(st.booleans()):
+        schedule = random_schedule(random.Random(draw(st.integers(0, 1 << 32))))
+    else:  # zero rates and the rate > 700 branch
+        schedule = TableSchedule({n: tuple(draw(RATES) for _ in range(n + 1))})
+    seed = draw(st.integers(0, (1 << 64) - 1) | ODD_HIGH_SEEDS)
+    return schedule, n, seed
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=keyed_cases(), draws=st.integers(0, 30))
+def test_samplers_match_the_uint64_key_oracle(case, draws):
+    schedule, n, seed = case
+    for method in ("inversion", METHOD_BERNOULLI):
+        realization = sample_point_process(schedule, n, seed, method=method)
+        assert realization.counts == keyed_counts(schedule, n, seed, method)
+    batch = sample_graph_batch(schedule, n, draws, seed)
+    assert np.array_equal(batch, keyed_graph_batch(schedule, n, draws, seed))
 
 
 def test_zero_counts_are_dropped():

@@ -14,6 +14,7 @@ from poissonclique.schedules import (
     check_consistency,
     constant_table,
     derive_lower,
+    require_real,
     schedule_from_dict,
 )
 
@@ -217,3 +218,44 @@ def test_schedule_from_dict_errors():
         schedule_from_dict({"kind": "geometric"})
     with pytest.raises(ValueError):
         schedule_from_dict({"kind": "table", "rows": {"2": [0.1]}})
+
+
+def test_require_real_accepts_only_json_numbers():
+    assert require_real(2, "x") == 2.0 and isinstance(require_real(2, "x"), float)
+    assert require_real(0.25, "x") == 0.25
+    for bad in (True, False, None, "0.5", [0.5]):
+        with pytest.raises(ValueError, match="x must be a number"):
+            require_real(bad, "x")
+    with pytest.raises(ValueError, match="float range"):
+        require_real(10**400, "x")
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"kind": "beta_uniform", "c": True},
+        {"kind": "beta_uniform", "c": None},
+        {"kind": "geometric", "alpha": "0.25", "c": 2},
+        {"kind": "geometric", "alpha": 0.25, "c": "2"},
+        {"kind": "moment_atoms", "atoms": [["0.3", 1.0]]},
+        {"kind": "moment_atoms", "atoms": [[0.3, True]]},
+        {"kind": "table", "rows": {"1": [None, 1.0]}},
+        {"kind": "table", "rows": {"1": [0.5, "1"]}},
+    ],
+)
+def test_schedule_documents_need_json_number_reals(doc):
+    with pytest.raises(ValueError, match="must be a number"):
+        schedule_from_dict(doc)
+
+
+def test_integer_reals_read_as_floats():
+    # a JSON integer is a number: it reads, and echoes, as a float
+    assert schedule_from_dict({"kind": "geometric", "alpha": 0.5, "c": 1}).to_dict() == {
+        "kind": "geometric",
+        "alpha": 0.5,
+        "c": 1.0,
+    }
+    table = schedule_from_dict({"kind": "table", "rows": {"1": [0, 2]}})
+    assert table.to_dict()["rows"] == {"1": [0.0, 2.0]}
+    # the library constructors keep taking Python numbers
+    assert derive_lower([1, 0]).to_dict()["rows"]["0"] == [1.0]

@@ -58,6 +58,18 @@ def test_sample_roundtrip():
     assert sample_from_dict(json.loads(json.dumps(doc))) == sample
 
 
+@pytest.mark.parametrize(
+    "field, value", [("seed", -1), ("seed", 1 << 64), ("method", "guess"), ("method", None)]
+)
+def test_realization_readers_reject_seed_or_method_outside_the_domain(field, value):
+    doc = sample_to_dict(sample_pipeline(GeometricSchedule(alpha=0.5), 3, 11))
+    doc["realization"][field] = value
+    with pytest.raises(ValueError, match=field):
+        realization_from_dict(doc["realization"])
+    with pytest.raises(ValueError, match=field):
+        sample_from_dict(doc)
+
+
 def test_malformed_documents():
     for bad in [{}, {"n": 2}, {"edges": []}, 17]:
         with pytest.raises(ValueError):
