@@ -22,8 +22,6 @@ import os
 import sys
 from typing import Callable, NamedTuple
 
-import numpy as np
-
 from . import __version__
 from .inference import (
     enumerate_monotone_covers,
@@ -75,6 +73,8 @@ def mc_vs_exact(
     ``exact_schedule`` lets a deliberately mismatched law be used on the exact
     side as a negative control; by default the sampling schedule is used.
     """
+    import numpy as np
+
     if draws <= 0:
         raise ValueError("draws must be positive")
     law = graph_law(n, exact_schedule if exact_schedule is not None else schedule, cap=cap)

@@ -25,6 +25,9 @@ Survival products are always accumulated as exp(-sum of rates), so they never
 underflow factor by factor.  A level whose total rate of subsets with at least
 two elements overflows the float range has no finite exponent to work with, and
 the graph laws reject it with ValueError.
+
+NumPy is imported inside the functions that build arrays, so the per-graph
+queries and the conditionals run without loading it.
 """
 
 from __future__ import annotations
@@ -32,9 +35,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Mapping
-
-import numpy as np
+from typing import TYPE_CHECKING, Mapping
 
 from .lattice import (
     GeneratingClass,
@@ -54,6 +55,9 @@ from .lattice import (
     restrict_graph,
 )
 from .schedules import RateSchedule
+
+if TYPE_CHECKING:
+    import numpy as np
 
 GRAPH_ENUM_CAP = 7
 CLIQUE_SUBSET_CAP = 24
@@ -230,6 +234,8 @@ def _subcube_law(n: int, rates: list[float], edges: int) -> np.ndarray:
     0 .. nbits - 1 by both transforms, so every cell is bit-identical to the
     plain per-bit butterfly.
     """
+    import numpy as np
+
     pmt = pair_masks(n)
     bits = [b for b in range(n * (n - 1) // 2) if edges >> b & 1]
     nbits = len(bits)
@@ -430,6 +436,8 @@ def marginal_restriction_check(
     Zero (to rounding) exactly when the schedule is consistent across levels.
     Relies on edges inside [m] occupying the low bits of the edge mask.
     """
+    import numpy as np
+
     if not 1 <= m < n:
         raise ValueError(f"need 1 <= m < n, got m={m}, n={n}")
     law_m = graph_law(m, schedule, cap=cap)
@@ -445,6 +453,8 @@ def _swap_index(n: int, j: int, m: int) -> np.ndarray:
     mask is the OR of the images of its low and high halves; two small tables
     joined by one outer OR build the whole int32 index (2^21 cells at n = 7).
     """
+    import numpy as np
+
     rename = {j: m, m: j}
     dest = [
         edge_index(*sorted((rename.get(x, x), rename.get(y, y)))) for x, y in edge_bit_pairs(n)
@@ -473,6 +483,8 @@ def exchangeability_discrepancy(schedule: RateSchedule, n: int, *, cap: int | No
     2^C(n,2) cells; n = 7 takes about a second where n! relabelings took about
     half an hour.
     """
+    import numpy as np
+
     law = graph_law(n, schedule, cap=cap)
     lo = law.copy()
     for m in range(2, n + 1):

@@ -368,16 +368,21 @@ def edge_bit_pairs(n: int) -> tuple[tuple[int, int], ...]:
 
 @lru_cache(maxsize=None)
 def pair_masks(n: int) -> tuple[int, ...]:
-    """For each vertex mask, the edge-bit mask of all pairs inside it."""
+    """For each vertex mask, the edge-bit mask of all pairs inside it.
+
+    Built from smaller masks: spread[a] sets bit (j-1)(j-2)/2 for each vertex j
+    of a.  With w the lowest vertex of a and rest = a minus w, every j in rest
+    exceeds w, so the edges (w, j) are spread[rest] << (w - 1).
+    """
     if n > POWERSET_CAP:
         raise ResourceCapError(f"pair-mask table needs 2**{n} entries (cap {POWERSET_CAP})")
     table = [0] * (1 << n)
+    spread = [0] * (1 << n)
     for a in range(1, 1 << n):
-        labels = elements_of(a)
-        pm = 0
-        for x, y in itertools.combinations(labels, 2):
-            pm |= 1 << edge_index(x, y)
-        table[a] = pm
+        low = a & -a
+        rest, w = a ^ low, low.bit_length()
+        spread[a] = spread[rest] | 1 << (w - 1) * (w - 2) // 2
+        table[a] = table[rest] | spread[rest] << (w - 1)
     return tuple(table)
 
 

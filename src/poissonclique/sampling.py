@@ -1,22 +1,27 @@
 """Draws of the latent subset process and its projection to a graph.
 
 Randomness contract: subset ``a`` under seed ``s`` reads from the counter-based
-stream Philox(key=(s, a)), for every seed in [0, 2^64), independent of every
-other subset and of evaluation order; one place, ``_streams``, builds the keys,
-as uint64.  A single draw consumes one uniform per subset with positive rate
-(inversion of the Poisson CDF), so the Bernoulli support fast path, which
-thresholds the same uniform at e^{-rate}, reproduces the support of the full
-draw exactly.  Batch draws read successive uniforms along each stream: draw
-``d`` of a batch equals the single draw only at ``d = 0``.
+stream Philox4x64-10(key=(s, a)), for every seed in [0, 2^64), independent of
+every other subset and of evaluation order.  A single draw consumes one uniform
+per subset with positive rate (inversion of the Poisson CDF), so the Bernoulli
+support fast path, which thresholds the same uniform at e^{-rate}, reproduces
+the support of the full draw exactly.  Philox is a pure function of (key,
+counter), so single draws compute every subset's first uniform in one
+vectorised pass, ``_first_uniforms``, bit for bit equal to NumPy's
+``Philox(key=(s, a))``.  Batch reads, and Poisson counts at rates beyond the
+CDF walk's range, use NumPy's ``Generator`` on the same stream, built by
+``_keyed_stream``.  Batch draws read successive uniforms along each stream:
+draw ``d`` of a batch equals the single draw only at ``d = 0``.
+
+NumPy is imported inside the functions that build arrays, so importing this
+module (and the CLI) does not load it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
-
-import numpy as np
+from typing import TYPE_CHECKING, Mapping
 
 from .lattice import (
     GeneratingClass,
@@ -29,6 +34,9 @@ from .lattice import (
     pair_masks,
 )
 from .schedules import RateSchedule
+
+if TYPE_CHECKING:
+    import numpy as np
 
 METHOD_INVERSION = "inversion"
 METHOD_BERNOULLI = "bernoulli"
@@ -101,19 +109,53 @@ def check_method(method: str) -> str:
     return method
 
 
-def _streams(schedule: RateSchedule, n: int, seed: int, smallest: int):
-    """(a, rate, stream) per subset a of [n] with >= ``smallest`` elements and positive
-    rate, in mask order.  Stream a is keyed by row a of one uint64 (seed, mask) table:
-    a key list of Python ints would pass through float64 above 2^63."""
+# Philox4x64-10 (Salmon et al., SC 2011): round multipliers and key increments
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_LOW32 = 0xFFFFFFFF
+
+
+def _keyed_stream(seed: int, a: int) -> np.random.Generator:
+    """NumPy's generator on subset a's stream.  The key is built as a uint64
+    pair: a list of Python ints would pass through float64 above 2^63."""
+    import numpy as np
+
+    return np.random.Generator(np.random.Philox(key=np.array([seed, a], dtype=np.uint64)))
+
+
+def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(high, low) 64-bit halves of the 128-bit product m * x, from 32-bit limbs."""
+    m_hi, m_lo = m >> 32, m & _LOW32
+    x_hi, x_lo = x >> 32, x & _LOW32
+    ll, lh, hl = x_lo * m_lo, x_lo * m_hi, x_hi * m_lo
+    carry = ((ll >> 32) + (lh & _LOW32) + (hl & _LOW32)) >> 32
+    return x_hi * m_hi + (lh >> 32) + (hl >> 32) + carry, x * m
+
+
+def _first_uniforms(seed: int, n: int) -> list[float]:
+    """The first double of stream (seed, a) for every subset a of [n], in mask order.
+
+    NumPy's Philox bit generator fills its first block from counter (1, 0, 0, 0)
+    and hands out lane 0 first; a double is its top 53 bits times 2^-53.  All
+    2^n keys share the seed and the counter, so ten rounds over uint64 arrays
+    produce every stream's first output at once.
+    """
+    import numpy as np
+
     check_seed(seed)
     masks = all_masks(n)  # the power-set cap, before 2^n keys are allocated
-    keys = np.empty((len(masks), 2), dtype=np.uint64)
-    keys[:, 0], keys[:, 1] = seed, masks
-    rates = [schedule.rate(n, r) for r in range(n + 1)]
-    for a in masks:
-        rate = rates[a.bit_count()]
-        if a.bit_count() >= smallest and rate > 0.0:
-            yield a, rate, np.random.Generator(np.random.Philox(key=keys[a]))
+    size = len(masks)
+    k0 = np.full(size, seed, dtype=np.uint64)
+    k1 = np.arange(size, dtype=np.uint64)
+    c0, c1, c2, c3 = np.ones_like(k1), np.zeros_like(k1), np.zeros_like(k1), np.zeros_like(k1)
+    for step in range(10):
+        if step:
+            k0 += np.uint64(_PHILOX_W[0])
+            k1 += np.uint64(_PHILOX_W[1])
+        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
+        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+    return ((c0 >> 11).astype(np.float64) * 2.0**-53).tolist()
 
 
 def _poisson_from_uniform(u: float, rate: float) -> int:
@@ -133,16 +175,19 @@ def sample_point_process(
 ) -> PointProcessRealization:
     """Independent Poisson counts for every subset of [n], deterministic in seed."""
     check_method(method)
+    uniforms = _first_uniforms(seed, n)
+    rates = [schedule.rate(n, r) for r in range(n + 1)]
+    # the count is 0 exactly when u < e^{-rate}, always so at rate 0
+    zero_below = [math.exp(-rate) for rate in rates]
+    inversion = method == METHOD_INVERSION
     counts: dict[int, int] = {}
-    for a, rate, stream in _streams(schedule, n, seed, 0):
-        if method == METHOD_BERNOULLI:
-            count = 1 if stream.random() >= math.exp(-rate) else 0
-        elif rate > _INVERSION_MAX_RATE:
-            count = int(stream.poisson(rate))
-        else:
-            count = _poisson_from_uniform(stream.random(), rate)
-        if count:
-            counts[a] = count
+    for a, u in enumerate(uniforms):
+        r = a.bit_count()
+        rate = rates[r]
+        if inversion and rate > _INVERSION_MAX_RATE:
+            counts[a] = int(_keyed_stream(seed, a).poisson(rate))
+        elif u >= zero_below[r]:
+            counts[a] = _poisson_from_uniform(u, rate) if inversion else 1
     return PointProcessRealization(n, counts, seed, method)
 
 
@@ -167,10 +212,16 @@ def sample_graph_batch(schedule: RateSchedule, n: int, draws: int, seed: int) ->
     Draw d thresholds the d-th uniform of stream (seed, a) for every subset a,
     so the batch is deterministic and its first column matches single draws.
     """
+    import numpy as np
+
+    check_seed(seed)
     if draws < 0:
         raise ValueError("draws must be non-negative")
     pmt = pair_masks(n)
+    rates = [schedule.rate(n, r) for r in range(n + 1)]
     out = np.zeros(draws, dtype=np.int64)
-    for a, rate, stream in _streams(schedule, n, seed, 2):
-        out[stream.random(draws) >= math.exp(-rate)] |= pmt[a]
+    for a in all_masks(n):
+        rate = rates[a.bit_count()]
+        if a.bit_count() >= 2 and rate > 0.0:
+            out[_keyed_stream(seed, a).random(draws) >= math.exp(-rate)] |= pmt[a]
     return out

@@ -42,6 +42,15 @@ def covered_pairs(members: frozenset[int], n: int) -> frozenset[tuple[int, int]]
     return frozenset(edges)
 
 
+def pairs_inside(a: int, n: int) -> int:
+    """Edge mask of every pair (i, j), i < j, of vertices in a: bit (j-1)(j-2)/2 + i-1."""
+    labels = [i for i in range(1, n + 1) if a >> (i - 1) & 1]
+    pairs = 0
+    for i, j in itertools.combinations(labels, 2):
+        pairs |= 1 << ((j - 1) * (j - 2) // 2 + i - 1)
+    return pairs
+
+
 def point_mass(members: frozenset[int], n: int, schedule) -> float:
     prob = 1.0
     for a in range(1 << n):

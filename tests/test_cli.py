@@ -213,6 +213,28 @@ def test_sample_bernoulli_method(capsys):
     assert all(entry["count"] == 1 for entry in sample["realization"]["counts"])
 
 
+RATE_900_TABLE = '{"kind":"table","n":3,"rows":{"3":[0.0,1.5,900,2.5]}}'
+
+
+@pytest.mark.parametrize(
+    "seed, method, counts",
+    [
+        # recorded when every subset drew from its own Generator; the pairs'
+        # rate of 900 reads that subset's Poisson sampler under inversion
+        (29, "inversion", [([1], 1), ([2], 1), ([1, 2], 894), ([1, 3], 921), ([2, 3], 901), ([1, 2, 3], 2)]),
+        (29, "bernoulli", [([1], 1), ([2], 1), ([1, 2], 1), ([1, 3], 1), ([2, 3], 1), ([1, 2, 3], 1)]),
+        ((1 << 63) + 1, "inversion", [([1, 2], 836), ([1, 3], 887), ([2, 3], 951), ([1, 2, 3], 3)]),
+        ((1 << 63) + 1, "bernoulli", [([1, 2], 1), ([1, 3], 1), ([2, 3], 1), ([1, 2, 3], 1)]),
+    ],
+)
+def test_sample_rate_900_table_regression(seed, method, counts, capsys):
+    argv = ["sample", "--schedule", RATE_900_TABLE, "--n", "3", "--seed", str(seed), "--method", method]
+    code, doc = run_json(argv, capsys)
+    assert code == 0
+    realization = doc["results"]["samples"][0]["realization"]
+    assert [(entry["subset"], entry["count"]) for entry in realization["counts"]] == counts
+
+
 def test_stdin_document(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", __import__("io").StringIO(TRIANGLE))
     code, doc = run_json(["covers", "--graph", "-"], capsys)
@@ -353,6 +375,45 @@ def test_module_entry_point():
     assert completed.returncode == 0
     doc = json.loads(completed.stdout)
     assert math.isclose(doc["results"]["prob"], 0.5, abs_tol=1e-12)
+
+
+COLD_COMMANDS = [
+    ["covers", "--graph", TRIANGLE],
+    ["transitivity", "--schedule", GEOM_HALF],
+    ["cluster-prob", "--graph", TRIANGLE, "--subset", "[1,2]", "--schedule", GEOM_HALF],
+    ["coarse-cluster-prob", "--graph", TRIANGLE, "--subset", "[1,2]", "--schedule", GEOM_HALF],
+    ["graph-prob", "--graph", TRIANGLE, "--schedule", GEOM_HALF],
+    ["classify", "--support", '{"n":2,"members":[[1,2]]}', "--graph", TRIANGLE, "--schedule", GEOM_HALF],
+    ["schedule", "check", "--kind", "geometric", "--alpha", "0.5", "--c", "1", "--nmax", "6"],
+    ["schedule", "derive", "--row", "[0.125,0.125,0.125,0.125]"],
+]
+COLD_IMPORT_SCRIPT = """
+import contextlib, io, json, sys
+import poissonclique, poissonclique.cli as cli
+
+def run(argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+
+for argv in json.loads(sys.argv[1]):
+    run(argv)
+assert "numpy" not in sys.modules, "a command without arrays imported numpy"
+run(["sample", "--schedule", %r, "--n", "3", "--seed", "1"])
+assert "numpy" in sys.modules, "sample drew without numpy"
+""" % GEOM_HALF
+
+
+def test_commands_without_arrays_never_import_numpy():
+    package_root = str(Path(poissonclique.__file__).resolve().parent.parent)
+    inherited = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=package_root + (os.pathsep + inherited if inherited else ""))
+    completed = subprocess.run(
+        [sys.executable, "-c", COLD_IMPORT_SCRIPT, json.dumps(COLD_COMMANDS)],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert completed.returncode == 0, completed.stderr
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,9 @@ import pytest
 from poissonclique.cli import main
 
 GOLDEN = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text())
-# these draw from NumPy's Generator, whose streams may change between releases
-SAMPLING_COMMANDS = ("sample", "mc-vs-exact")
+# batch draws read NumPy's Generator, whose streams may change between releases;
+# single draws (`sample`) compute their Philox uniforms without it
+SAMPLING_COMMANDS = ("mc-vs-exact",)
 
 
 @pytest.mark.parametrize(

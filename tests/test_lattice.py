@@ -33,7 +33,7 @@ from poissonclique.lattice import (
     restrict_graph,
 )
 
-from oracles import maximal_members
+from oracles import maximal_members, pairs_inside
 
 
 def fam(n, *sets):
@@ -354,3 +354,8 @@ def test_pair_masks_match_clique_graph():
             assert pmt[a] == graph_to_edge_mask(clique_graph(cover))
         else:
             assert pmt[a] == 0
+
+
+def test_pair_masks_equal_the_combinations_oracle():
+    for n in range(13):
+        assert pair_masks(n) == tuple(pairs_inside(a, n) for a in range(1 << n))

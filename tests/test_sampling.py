@@ -22,6 +22,7 @@ from poissonclique.lattice import (
 from poissonclique.sampling import (
     METHOD_BERNOULLI,
     PointProcessRealization,
+    _first_uniforms,
     sample_graph_batch,
     sample_pipeline,
     sample_point_process,
@@ -29,7 +30,7 @@ from poissonclique.sampling import (
 )
 from poissonclique.schedules import GeometricSchedule, TableSchedule, constant_table
 
-from oracles import keyed_counts, keyed_graph_batch, random_schedule
+from oracles import keyed_counts, keyed_graph_batch, keyed_stream, random_schedule
 
 GEOM = GeometricSchedule(alpha=0.5, c=1.0)
 
@@ -131,6 +132,21 @@ def test_samplers_match_the_uint64_key_oracle(case, draws):
         assert realization.counts == keyed_counts(schedule, n, seed, method)
     batch = sample_graph_batch(schedule, n, draws, seed)
     assert np.array_equal(batch, keyed_graph_batch(schedule, n, draws, seed))
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(0, 10), seed=st.integers(0, (1 << 64) - 1) | ODD_HIGH_SEEDS)
+def test_first_uniforms_equal_numpy_philox_bit_for_bit(n, seed):
+    uniforms = _first_uniforms(seed, n)
+    assert uniforms == [keyed_stream(seed, a).random() for a in range(1 << n)]
+
+
+@pytest.mark.parametrize("seed", [0, 29, (1 << 63) + 1, (1 << 64) - 1])
+def test_first_uniforms_at_n16_spot_check(seed):
+    uniforms = _first_uniforms(seed, 16)
+    assert len(uniforms) == 1 << 16
+    for a in random.Random(seed).sample(range(1 << 16), 300):
+        assert uniforms[a] == keyed_stream(seed, a).random()
 
 
 def test_zero_counts_are_dropped():
