@@ -32,8 +32,10 @@ queries and the conditionals run without loading it.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping
 
@@ -389,9 +391,10 @@ def classify_extension(
 ) -> dict[SubsetFamily, float]:
     """Posterior over supports on [n+1] given the support on [n] and the graph on [n+1].
 
-    Every member of the old support either stays, gains the new vertex, or
-    both; all 3^k combinations are filtered by the observed graph and weighted
-    by their point mass.
+    Every member e stays, gains the new vertex v, or both.  The evidence fixes
+    only N(v): a member outside it stays, and the members gaining v must cover
+    it exactly.  Every subset other than e and e + v is absent from every
+    candidate, so a candidate is weighed by its members' factors alone.
     """
     n = support.n
     if observed.n != n + 1:
@@ -401,23 +404,27 @@ def classify_extension(
     members = support.sorted_masks()
     if len(members) > EXTENSION_MEMBERS_CAP:
         raise ResourceCapError(f"support has {len(members)} members, extension cap is {EXTENSION_MEMBERS_CAP}")
-    new_bit = 1 << n
+    v = 1 << n
+    neighbours = sum(1 << (i - 1) for i, j in observed.edges if j == n + 1)
+    rates = _size_rates(schedule, n + 1)
+    p = [_presence(rate) for rate in rates]
+    s = [math.exp(-rate) for rate in rates]
+    stays = frozenset(f for f in members if f & ~neighbours)
+    options = [  # (members kept, factor, vertices joined to v) for stay, gain v, both
+        (((e,), p[r] * s[r + 1], 0), ((e | v,), s[r] * p[r + 1], e), ((e, e | v), p[r] * p[r + 1], e))
+        for e, r in ((e, e.bit_count()) for e in members if e not in stays)
+    ]
+    common = math.prod(p[f.bit_count()] for f in stays)
 
     candidates: list[tuple[SubsetFamily, float]] = []
-    for choice in itertools.product((0, 1, 2), repeat=len(members)):
-        masks = set()
-        for e, pick in zip(members, choice):
-            if pick != 1:
-                masks.add(e)
-            if pick != 0:
-                masks.add(e | new_bit)
-        extended = SubsetFamily(n + 1, frozenset(masks))
-        if clique_graph(monotone_cover(extended)) == observed:
-            candidates.append((extended, family_point_prob(extended, schedule)))
-
+    for picks in itertools.product(*options):
+        if functools.reduce(operator.or_, (joined for _, _, joined in picks), 0) == neighbours:
+            masks = stays.union(*(kept for kept, _, _ in picks))
+            weight = common * math.prod(factor for _, factor, _ in picks)
+            candidates.append((SubsetFamily(n + 1, masks), weight))
     if not candidates:
         raise InconsistentEvidenceError("no support on the extended vertex set matches the evidence")
-    total = sum(w for _, w in candidates)
+    total = math.fsum(w for _, w in candidates)
     if total == 0.0:
         raise InconsistentEvidenceError("every support matching the evidence has probability zero")
     candidates.sort(key=lambda item: item[0].sorted_masks())

@@ -70,6 +70,8 @@ class PointProcessRealization:
                 raise ValueError(f"mask {mask:#x} exceeds ground set [{self.n}]")
             if count < 0:
                 raise ValueError("counts must be non-negative")
+            if self.method == METHOD_BERNOULLI and count != 1:
+                raise ValueError(f"a bernoulli realization carries presence only, got count {count}")
             if count > 0:
                 clean[mask] = int(count)
         object.__setattr__(self, "counts", clean)

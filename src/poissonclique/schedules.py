@@ -240,10 +240,19 @@ def require_real(value, what: str) -> float:
         raise ValueError(f"{what} is beyond the float range") from None
 
 
+def _table_level(key) -> int:
+    """A table row key as its level; only canonical decimal text ("0", "3", "12")
+    is accepted, so that no two keys of one document name the same level."""
+    if not (isinstance(key, str) and key.isascii() and key.isdigit() and key == str(int(key))):
+        raise ValueError(f"table level key {key!r} must be a non-negative decimal integer without leading zeros")
+    return int(key)
+
+
 def schedule_from_dict(doc: Mapping) -> RateSchedule:
     """Parse {"kind": ..., parameters...}; raises ValueError on malformed input.
 
-    Every parameter and rate must be a JSON number (``require_real``).
+    Every parameter and rate must be a JSON number (``require_real``), and every
+    table level key canonical decimal text.
     """
     try:
         kind = doc["kind"]
@@ -265,7 +274,7 @@ def schedule_from_dict(doc: Mapping) -> RateSchedule:
         if kind == "table":
             rows = doc["rows"].items()
             return TableSchedule(
-                {int(level): tuple(require_real(v, "rate") for v in row) for level, row in rows}
+                {_table_level(level): tuple(require_real(v, "rate") for v in row) for level, row in rows}
             )
     except ValueError:
         raise

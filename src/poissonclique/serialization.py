@@ -5,8 +5,10 @@ Families and covers: {"n": int, "members": [[sorted ints], ...]} with the empty
 set as [] and members in ascending bit-pattern order.  Realizations add counts
 and the sampling metadata.  Every n, vertex label, count and seed must be a
 JSON integer: readers reject floats and booleans instead of truncating them.
-A realization's seed must also lie in [0, 2^64) and its method must be one the
-sampler knows; ``PointProcessRealization`` checks both, as the samplers do.
+A realization's seed must also lie in [0, 2^64), its method must be one the
+sampler knows, and a "bernoulli" count must be 1; ``PointProcessRealization``
+checks these, as the samplers do.  A realization lists each subset once, and a
+table schedule keys its rows by canonical decimal levels ("3", not "03").
 ``dumps`` output is byte-stable: keys sorted, two space indent, trailing
 newline; floats use Python repr, the shortest string that parses back to the
 same value.
@@ -116,6 +118,8 @@ def realization_from_dict(doc: Mapping) -> PointProcessRealization:
     counts = {}
     for entry in _require(doc, "counts", "realization"):
         subset = mask_of((require_int(e, "vertex") for e in entry["subset"]), n)
+        if subset in counts:
+            raise ValueError(f"realization lists subset {list(elements_of(subset))} twice")
         counts[subset] = require_int(entry["count"], "count")
     seed, method = _require(doc, "seed", "realization"), _require(doc, "method", "realization")
     return PointProcessRealization(n, counts, seed, method)  # checks the seed and the method

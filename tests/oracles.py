@@ -7,9 +7,15 @@ members.  Family sweeps cost 2^(2^n), so keep n <= 3; the relabeling sweep
 costs n! passes over the law, so keep n <= 6 there.  The per-bit butterfly
 walks all 2^C(n,2) edge masks once per edge bit, so n <= 7.  The keyed-stream
 draws rebuild each subset's Philox stream from its own uint64 key, one subset
-at a time, without the sampler's loop.
+at a time, without the sampler's loop.  The 50-digit ``decimal`` references
+(standard library only) give relative accuracy where float sums cannot: the
+clique walk costs one memoized include/exclude step per clique, so keep the
+clique count small.  The extension enumeration lists all 3^k choices for k
+support members, so keep k <= 8.
 """
 
+import decimal
+import functools
 import itertools
 import math
 import random
@@ -52,11 +58,86 @@ def pairs_inside(a: int, n: int) -> int:
 
 
 def point_mass(members: frozenset[int], n: int, schedule) -> float:
+    hits = [-math.expm1(-schedule.rate(n, r)) for r in range(n + 1)]
+    misses = [math.exp(-schedule.rate(n, r)) for r in range(n + 1)]
     prob = 1.0
     for a in range(1 << n):
-        hit = 1.0 - math.exp(-schedule.rate(n, a.bit_count()))
-        prob *= hit if a in members else 1.0 - hit
+        prob *= hits[a.bit_count()] if a in members else misses[a.bit_count()]
     return prob
+
+
+def extension_weights(base: frozenset[int], n: int, edges, schedule) -> dict[frozenset[int], float]:
+    """Point mass of every family on [n+1] that restricts to ``base`` (masks on [n])
+    and whose pairs are exactly ``edges``.  Each member stays, moves to itself plus
+    vertex n + 1, or both; all 3^k choices are listed and checked one by one."""
+    grow = 1 << n  # vertex n + 1
+    options = [(frozenset({a}), frozenset({a | grow}), frozenset({a, a | grow})) for a in sorted(base)]
+    pairs = {option: covered_pairs(option, n + 1) for choices in options for option in choices}
+    weights = {}
+    for choice in itertools.product(*options):
+        if frozenset().union(*(pairs[option] for option in choice)) == frozenset(edges):
+            members = frozenset().union(*choice)
+            weights[members] = point_mass(members, n + 1, schedule)
+    return weights
+
+
+DECIMAL_DIGITS = 50
+
+
+def _decimal_factors(rate: float) -> tuple[decimal.Decimal, decimal.Decimal]:
+    """(1 - e^{-rate}, e^{-rate}) to the current context's precision."""
+    survival = (-decimal.Decimal(rate)).exp()
+    return 1 - survival, survival
+
+
+@functools.lru_cache(maxsize=None)
+def _decimal_level_factors(schedule, n: int) -> tuple:
+    with decimal.localcontext() as ctx:
+        ctx.prec = DECIMAL_DIGITS
+        return tuple(_decimal_factors(schedule.rate(n, r)) for r in range(n + 1))
+
+
+def decimal_point_mass(members: frozenset[int], n: int, schedule) -> decimal.Decimal:
+    """``point_mass`` to DECIMAL_DIGITS digits."""
+    factors = _decimal_level_factors(schedule, n)
+    with decimal.localcontext() as ctx:
+        ctx.prec = DECIMAL_DIGITS
+        prob = decimal.Decimal(1)
+        for a in range(1 << n):
+            hit, miss = factors[a.bit_count()]
+            prob *= hit if a in members else miss
+        return prob
+
+
+def decimal_graph_prob(edges, n: int, schedule) -> decimal.Decimal:
+    """P(projected graph on [n] has exactly ``edges``) to DECIMAL_DIGITS digits.
+
+    Every vertex set of two or more labels with a pair outside ``edges`` must be
+    absent.  The others, the cliques, are walked in turn, present or absent, until
+    their pairs cover ``edges``; the cliques left over then integrate out to 1.
+    """
+    edges = frozenset(edges)
+    with decimal.localcontext() as ctx:
+        ctx.prec = DECIMAL_DIGITS
+        cliques, outside = [], decimal.Decimal(0)
+        for size in range(2, n + 1):
+            for labels in itertools.combinations(range(1, n + 1), size):
+                pairs = frozenset(itertools.combinations(labels, 2))
+                if pairs <= edges:
+                    cliques.append((pairs, _decimal_factors(schedule.rate(n, size))))
+                else:
+                    outside += decimal.Decimal(schedule.rate(n, size))
+
+        @functools.lru_cache(maxsize=None)
+        def walk(i: int, uncovered: frozenset) -> decimal.Decimal:
+            if not uncovered:
+                return decimal.Decimal(1)
+            if i == len(cliques):
+                return decimal.Decimal(0)
+            pairs, (hit, miss) = cliques[i]
+            return miss * walk(i + 1, uncovered) + hit * walk(i + 1, uncovered - pairs)
+
+        return (-outside).exp() * walk(0, edges)
 
 
 def event_prob(n: int, schedule, predicate) -> float:

@@ -482,6 +482,32 @@ def test_sample_successive_seeds_wrap_modulo_2_64(capsys):
     assert [s["realization"]["seed"] for s in doc["results"]["samples"]] == [last, 0]
 
 
+def test_schedule_with_a_non_canonical_level_key_exits_2(capsys):
+    table = '{"kind":"table","n":3,"rows":{"3":[0,0,1,1],"03":[0,0,2,2]}}'
+    code, out, err = run_cli(["schedule", "check", "--schedule", table, "--nmax", "3"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "'03'" in err
+
+
+def test_classify_member_cap_exits_3_without_stdout(capsys):
+    support = json.dumps({"n": 4, "members": [[i for i in range(1, 5) if a >> (i - 1) & 1] for a in range(13)]})
+    graph = '{"n":5,"edges":[[1,2],[1,3],[1,4],[2,3],[2,4],[3,4]]}'
+    code, out, err = run_cli(["classify", "--support", support, "--graph", graph, "--schedule", GEOM_HALF], capsys)
+    assert code == 3
+    assert out == ""
+    assert "extension cap" in err
+
+
+def test_classify_when_the_level_survival_underflows(capsys):
+    schedule = '{"kind":"geometric","alpha":0.5,"c":2000}'
+    argv = ["classify", "--support", '{"n":2,"members":[[1,2]]}', "--graph", TRIANGLE, "--schedule", schedule]
+    code, doc = run_json(argv, capsys)
+    assert code == 0
+    probs = [candidate["prob"] for candidate in doc["results"]["candidates"]]
+    assert probs[0] == 1.0 and 0.0 < probs[1] < 1e-100
+
+
 @pytest.mark.parametrize(
     "argv",
     [

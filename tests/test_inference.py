@@ -1,3 +1,4 @@
+import decimal
 import itertools
 import math
 import random
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from poissonclique import inference
 from poissonclique.inference import (
     CLIQUE_SUBSET_CAP,
+    EXTENSION_MEMBERS_CAP,
     InconsistentEvidenceError,
     classify_extension,
     clique_set,
@@ -47,9 +49,13 @@ from poissonclique.schedules import (
 )
 
 from oracles import (
+    DECIMAL_DIGITS,
     butterfly_law,
     covered_pairs,
+    decimal_graph_prob,
+    decimal_point_mass,
     event_prob,
+    extension_weights,
     point_mass,
     random_schedule,
     relabeling_discrepancy,
@@ -492,6 +498,110 @@ def test_classify_permutation_invariance():
         assert math.isclose(permuted[family], prob, abs_tol=1e-12)
 
 
+def relative_error(got: float, exact: decimal.Decimal) -> decimal.Decimal:
+    with decimal.localcontext() as ctx:
+        ctx.prec = DECIMAL_DIGITS
+        return abs(decimal.Decimal(got) - exact) / exact
+
+
+def _extension_case(rng: random.Random):
+    # a support of at most 8 members on [n], n = 1..6, and the graph of one of its
+    # extensions; one case in five toggles an edge at the new vertex, which may
+    # leave no support on [n+1] matching the evidence
+    n = rng.randint(1, 6)
+    base = SubsetFamily(n, frozenset(rng.sample(range(1 << n), rng.randint(0, min(8, 1 << n)))))
+    edges = set(covered_pairs(_random_extension(base, rng).members, n + 1))
+    if rng.random() < 0.2:
+        edges ^= {(rng.randint(1, n), n + 1)}
+    schedule = random_schedule(rng)
+    while isinstance(schedule, TableSchedule) and n + 1 not in schedule.rows:
+        schedule = random_schedule(rng)
+    return base, Graph.from_edges(n + 1, edges), schedule
+
+
+def test_classify_matches_extension_oracle():
+    # candidate sets equal the 3^k enumeration's, posteriors agree within 1e-12
+    # relative, and within 1e-13 relative of 50-digit point masses at n + 1 <= 5
+    rng = random.Random(53)
+    answered = 0
+    for _ in range(300):
+        base, observed, schedule = _extension_case(rng)
+        weights = extension_weights(base.members, base.n, observed.edges, schedule)
+        if not weights:
+            with pytest.raises(InconsistentEvidenceError):
+                classify_extension(base, observed, schedule)
+            continue
+        distribution = classify_extension(base, observed, schedule)
+        answered += 1
+        assert {family.members for family in distribution} == set(weights)
+        assert list(distribution) == sorted(distribution, key=SubsetFamily.sorted_masks)
+        total = math.fsum(weights.values())
+        for family, prob in distribution.items():
+            assert math.isclose(prob, weights[family.members] / total, rel_tol=1e-12)
+        if observed.n <= 5:
+            exact = {f: decimal_point_mass(f.members, observed.n, schedule) for f in distribution}
+            with decimal.localcontext() as ctx:
+                ctx.prec = DECIMAL_DIGITS
+                exact_total = sum(exact.values())
+                for family, prob in distribution.items():
+                    assert relative_error(prob, exact[family] / exact_total) <= decimal.Decimal("1e-13")
+    assert answered >= 240
+
+
+def test_classify_prices_choices_without_covers_or_point_masses(monkeypatch):
+    # the graph of the old support is built once, for the precondition; no
+    # candidate gets a cover, a clique graph or a power-set point mass
+    calls = []
+    for name in ("monotone_cover", "clique_graph", "family_point_prob"):
+        real = getattr(inference, name)
+        monkeypatch.setattr(inference, name, lambda *a, name=name, real=real: calls.append(name) or real(*a))
+    support = SubsetFamily.from_sets(3, [[1], [2], [1, 2], [2, 3], []])
+    observed = Graph.from_edges(4, [(1, 2), (2, 3), (1, 4), (2, 4)])
+    assert len(classify_extension(support, observed, GeometricSchedule(alpha=0.5))) > 1
+    assert calls == ["monotone_cover", "clique_graph"]
+
+
+def test_classify_beyond_the_power_set_cap():
+    # n = 20: {1,2} and {2,3} must both gain vertex 21 to cover N(21) = {1,2,3},
+    # and each keeps its old copy as well, independently, with probability p(lambda(2))
+    schedule = GeometricSchedule(alpha=0.5, c=1.0)
+    pair_12, pair_23 = mask_of([1, 2], 20), mask_of([2, 3], 20)
+    support = SubsetFamily.from_sets(20, [[1, 2], [2, 3], [4, 5, 6], [7], [8, 20], [9, 10, 11, 12]])
+    old_edges = clique_graph(monotone_cover(support)).edges
+    observed = Graph.from_edges(21, set(old_edges) | {(1, 21), (2, 21), (3, 21)})
+    distribution = classify_extension(support, observed, schedule)
+    assert len(distribution) == 4
+    assert math.isclose(sum(distribution.values()), 1.0, rel_tol=1e-15)
+    keep, drop = -math.expm1(-schedule.rate(21, 2)), math.exp(-schedule.rate(21, 2))
+    for family, prob in distribution.items():
+        kept = (pair_12 in family.members) + (pair_23 in family.members)
+        assert math.isclose(prob, keep**kept * drop ** (2 - kept), rel_tol=1e-13)
+
+
+def test_classify_when_the_level_survival_underflows():
+    # the level-3 total rate is near 2000, so exp(-T) underflows to 0; the
+    # posterior never forms it: P(support = {123}) = e^{-lambda_3(2)}
+    schedule = GeometricSchedule(alpha=0.5, c=2000.0)
+    distribution = classify_extension(SubsetFamily.from_sets(2, [[1, 2]]), TRIANGLE, schedule)
+    moved = SubsetFamily.from_sets(3, [[1, 2, 3]])
+    assert list(distribution.values()) == [1.0, distribution[moved]]
+    assert math.isclose(distribution[moved], math.exp(-schedule.rate(3, 2)), rel_tol=1e-13)
+    assert 0.0 < distribution[moved] < 1e-100
+
+
+def test_classify_member_cap_counts_every_member():
+    schedule = GeometricSchedule(alpha=0.5)
+    for count in (EXTENSION_MEMBERS_CAP, EXTENSION_MEMBERS_CAP + 1):
+        support = SubsetFamily(4, frozenset(range(count)))  # the first masks of [4], the empty set among them
+        observed = Graph(5, clique_graph(monotone_cover(support)).edges)
+        if count > EXTENSION_MEMBERS_CAP:
+            with pytest.raises(ResourceCapError, match="extension cap"):
+                classify_extension(support, observed, schedule)
+        else:
+            # N(5) is empty: every member but the empty set must stay
+            assert len(classify_extension(support, observed, schedule)) == 3
+
+
 # ---------------------------------------------------------------------------
 # Cross-level diagnostics
 # ---------------------------------------------------------------------------
@@ -639,6 +749,17 @@ def test_graph_prob_fallback_equals_law_cell(schedule):
         for graph in named + clique_rich_graphs(n, rng, 5):
             assert len(clique_set(graph)) > CLIQUE_SUBSET_CAP
             assert graph_prob(graph, schedule) == law[graph_to_edge_mask(graph)]
+
+
+@pytest.mark.parametrize("schedule", EXACT_LAW_SCHEDULES, ids=repr)
+def test_graph_prob_clique_walk_relative_to_decimal_walk(schedule):
+    # every graph on n <= 5 within the clique cap (K5's 26 cliques take the
+    # fallback, which is not held to this bound)
+    for n in range(1, 6):
+        for graph in all_graphs(n):
+            if len(clique_set(graph)) <= CLIQUE_SUBSET_CAP:
+                exact = decimal_graph_prob(graph.edges, n, schedule)
+                assert relative_error(graph_prob(graph, schedule), exact) <= decimal.Decimal("1e-13")
 
 
 def test_graph_prob_fallback_keeps_level_cap():

@@ -71,6 +71,14 @@ def test_realization_validation():
         sample_point_process(GEOM, 2, 0, method="guess")
 
 
+@pytest.mark.parametrize("count", [0, 2, 5])
+def test_bernoulli_realization_carries_presence_only(count):
+    with pytest.raises(ValueError, match="bernoulli"):
+        PointProcessRealization(2, {0b11: count}, 0, "bernoulli")
+    assert PointProcessRealization(2, {0b11: count}, 0, "inversion").counts == ({0b11: count} if count else {})
+    assert set(sample_point_process(GEOM, 5, 3, method="bernoulli").counts.values()) == {1}
+
+
 @pytest.mark.parametrize(
     "seed, method",
     [(-1, "inversion"), (1 << 64, "inversion"), (2.0, "inversion"), (True, "inversion"), (0, "guess")],

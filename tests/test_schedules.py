@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import re
 
 import pytest
 from scipy.integrate import quad
@@ -218,6 +219,20 @@ def test_schedule_from_dict_errors():
         schedule_from_dict({"kind": "geometric"})
     with pytest.raises(ValueError):
         schedule_from_dict({"kind": "table", "rows": {"2": [0.1]}})
+
+
+@pytest.mark.parametrize("key", ["1_0", " +2 ", "03", "-1", "", "3.0", "\u0663", "²"])
+def test_table_level_keys_must_be_canonical_decimals(key):
+    # int() reads "1_0" as 10 and " +2 " as 2, and would let "03" collide with "3"
+    with pytest.raises(ValueError, match=re.escape(repr(key))):
+        schedule_from_dict({"kind": "table", "rows": {key: [0.5, 0.5, 0.5, 0.5]}})
+
+
+def test_table_level_keys_cannot_collide():
+    with pytest.raises(ValueError, match="'03'"):
+        schedule_from_dict({"kind": "table", "rows": {"3": [0.1] * 4, "03": [0.2] * 4}})
+    table = schedule_from_dict({"kind": "table", "rows": {"0": [1.0], "10": [0.0] * 11}})
+    assert table.levels() == (0, 10)
 
 
 def test_require_real_accepts_only_json_numbers():

@@ -70,6 +70,20 @@ def test_realization_readers_reject_seed_or_method_outside_the_domain(field, val
         sample_from_dict(doc)
 
 
+def test_realization_reader_rejects_a_subset_listed_twice():
+    doc = {**REALIZATION, "counts": [{"subset": [1], "count": 2}, {"subset": [1], "count": 3}]}
+    with pytest.raises(ValueError, match=r"subset \[1\] twice"):
+        realization_from_dict(doc)
+
+
+def test_realization_reader_rejects_bernoulli_multiplicities():
+    doc = {**REALIZATION, "method": "bernoulli", "counts": [{"subset": [1], "count": 5}]}
+    with pytest.raises(ValueError, match="bernoulli"):
+        realization_from_dict(doc)
+    doc["counts"] = [{"subset": [1], "count": 1}]
+    assert realization_from_dict(doc).counts == {0b1: 1}
+
+
 def test_malformed_documents():
     for bad in [{}, {"n": 2}, {"edges": []}, 17]:
         with pytest.raises(ValueError):
