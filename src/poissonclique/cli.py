@@ -36,7 +36,7 @@ from .inference import (
 )
 from .lattice import ResourceCapError, elements_of, mask_of
 from .sampling import (
-    METHOD_INVERSION, METHODS, SEED_LIMIT, check_seed, sample_graph_batch, sample_pipeline
+    METHOD_INVERSION, METHODS, SEED_LIMIT, _graph_batches, check_seed, sample_pipeline
 )
 from .schedules import (
     RateSchedule, check_consistency, derive_lower, require_real, schedule_from_dict
@@ -56,6 +56,8 @@ from .serialization import (
 MC_SE_FACTOR = 4.0
 MC_CELL_ATOL = 1e-12
 MC_TABLE_LIMIT = 1 << 10
+# draws counted per block, so memory does not grow with --draws
+MC_CHUNK_DRAWS = 1 << 16
 
 
 def mc_vs_exact(
@@ -78,8 +80,10 @@ def mc_vs_exact(
     if draws <= 0:
         raise ValueError("draws must be positive")
     law = graph_law(n, exact_schedule if exact_schedule is not None else schedule, cap=cap)
-    masks = sample_graph_batch(schedule, n, draws, seed)
-    freq = np.bincount(masks, minlength=law.size).astype(float) / draws
+    counts = np.zeros(law.size, dtype=np.int64)
+    for masks in _graph_batches(schedule, n, draws, seed, MC_CHUNK_DRAWS):
+        counts += np.bincount(masks, minlength=law.size)
+    freq = counts.astype(float) / draws
     exact = np.clip(law, 0.0, 1.0)
     se = np.sqrt(exact * (1.0 - exact) / draws)
     deviation = np.abs(freq - exact)

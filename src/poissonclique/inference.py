@@ -11,12 +11,18 @@ complements.  Two computation paths are used:
   E(G), as a memoized include/exclude walk; capped at CLIQUE_SUBSET_CAP cliques.
 * whole-level: the cumulative law P(graph <= e) = exp(T(e) - T(full)) with T(e)
   the total rate of cliques fitting inside e, computed by a subset-sum (zeta)
-  transform over the edge lattice and inverted by a Moebius pass.  The passes
-  run in two memory layouts, low edge bits first in a transposed one, so that
-  every pass streams long contiguous runs; each cell still sees the same float
-  operations, in the same order, as the plain per-bit butterfly.  ``graph_law``
-  prices all 2^C(n,2) graphs at once; the clique-rich fallback of
-  ``graph_prob`` runs the same transform on the 2^|E(G)| graphs inside E(G).
+  transform over the edge lattice and inverted by a Moebius pass.  The zeta
+  transform starts sparse: at most 2^n - n - 1 cells hold a clique, so its low
+  edge-bit passes run on a small array with one column per nonzero row of the
+  natural layout, which then takes the high-bit passes.  ``graph_law`` prices
+  all 2^C(n,2) graphs at once, with the Moebius passes in two memory layouts,
+  low edge bits first in a transposed one, so that every pass streams long
+  contiguous runs.  The clique-rich fallback of ``graph_prob`` builds the
+  cumulative law of the 2^|E(G)| graphs inside E(G) and reads its one cell by
+  halving passes.  The passes run with NumPy's ufunc buffer at 1024 elements,
+  restored afterwards, so runs of 1024-2048 cells are not copied through it.
+  Each cell still sees the same float operations, in the same order, as the
+  plain per-bit butterfly.
 
 Subsets of cardinality <= 1 never affect the graph; they are marginalized out of
 every graph computation and cancel from every conditional ratio.
@@ -37,7 +43,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Callable, Mapping, TypeVar
 
 from .lattice import (
     GeneratingClass,
@@ -60,6 +66,8 @@ from .schedules import RateSchedule
 
 if TYPE_CHECKING:
     import numpy as np
+
+_T = TypeVar("_T")
 
 GRAPH_ENUM_CAP = 7
 CLIQUE_SUBSET_CAP = 24
@@ -215,26 +223,48 @@ def _law_cap(n: int, cap: int | None) -> None:
 
 
 _TRANSPOSE_ROWS = 64
+# NumPy copies a pass's runs through its ufunc buffer when they are shorter
+# than half of it (8192 elements by default); runs of 1024-2048 cells then cost
+# about twice as much per cell.  The shortest run of a pass over the whole
+# array is 2^(nbits // 2) cells, 1024 at n = 7.
+_PASS_BUFSIZE = 1024
 
 
-def _subcube_law(n: int, rates: list[float], edges: int) -> np.ndarray:
-    """P(graph = e) for every graph e on [n] whose edges lie inside ``edges``.
+def _passes(x: np.ndarray, positions: range, op: np.ufunc, width: int = 1) -> None:
+    """One butterfly pass ``x[e | bit] = op(x[e | bit], x[e])`` per bit position,
+    in order; index bit p has flat stride ``width << p``."""
+    for p in positions:
+        view = x.reshape(-1, 2, width << p)
+        op(view[:, 1, :], view[:, 0, :], out=view[:, 1, :])
 
-    Index bit i carries the i-th set bit of ``edges``.  A zeta pass over an edge
-    bit outside ``edges`` never writes a cell inside it, and one over a bit
-    inside reads only cells inside, so these cells of the whole-level transform
-    need only the cliques whose pairs lie inside ``edges``, on compacted bits.
-    T(full) needs every clique: it is folded pairwise, bit by bit, from the
-    nonzero cells, which are the additions the full transform makes at the
-    full mask (0.0 for an empty level).
 
-    A pass ``view[:, 1, :] += view[:, 0, :]`` at bit position p streams runs of
-    2^p cells, and NumPy's per-run overhead dominates below about 4096 cells.
-    So the low k = nbits // 2 bits are processed in a transposed layout that
-    puts them at the top positions, and the high bits in the natural layout,
-    with blocked copies in between.  Bits are still processed in order
-    0 .. nbits - 1 by both transforms, so every cell is bit-identical to the
-    plain per-bit butterfly.
+def _transpose(src: np.ndarray, dst: np.ndarray, rows: int) -> None:
+    s = src.reshape(rows, -1)
+    d = dst.reshape(-1, rows)
+    for r in range(0, rows, _TRANSPOSE_ROWS):
+        d[:, r : r + _TRANSPOSE_ROWS] = s[r : r + _TRANSPOSE_ROWS].T
+
+
+def _cumulative_law(n: int, rates: list[float], edges: int) -> np.ndarray:
+    """F(e) = P(graph <= e) = exp(T(e) - T(full)) for every graph e on [n]
+    whose edges lie inside ``edges``; index bit i carries the i-th set bit of
+    ``edges``.
+
+    A zeta pass over an edge bit outside ``edges`` never writes a cell inside
+    it, and one over a bit inside reads only cells inside, so these cells of
+    the whole-level transform need only the cliques whose pairs lie inside
+    ``edges``, on compacted bits.  T(full) needs every clique: it is folded
+    pairwise, bit by bit, from the nonzero cells, which are the additions the
+    full transform makes at the full mask (0.0 for an empty level).
+
+    Before the zeta transform at most 2^n - n - 1 cells are nonzero, and a pass
+    over one of the low k = nbits // 2 bits adds only within a row of 2^k cells
+    that share their high bits.  So the low passes run on one column per
+    nonzero row, low bits on axis 0 so that runs are long, and the columns are
+    then scattered into the natural layout; every other row stays 0.0, as the
+    butterfly leaves it.  The high passes follow in place.  Bits are processed
+    in order 0 .. nbits - 1, so every cell is bit-identical to the plain
+    per-bit butterfly.
     """
     import numpy as np
 
@@ -242,7 +272,6 @@ def _subcube_law(n: int, rates: list[float], edges: int) -> np.ndarray:
     bits = [b for b in range(n * (n - 1) // 2) if edges >> b & 1]
     nbits = len(bits)
     k = nbits // 2
-    h = nbits - k
     # 0.0 + rate is the dense scatter's own addition (it turns -0.0 into 0.0)
     cells = {pmt[a]: 0.0 + rates[a.bit_count()] for a in all_masks(n) if a.bit_count() >= 2}
 
@@ -254,34 +283,75 @@ def _subcube_law(n: int, rates: list[float], edges: int) -> np.ndarray:
         }
     total = folded.get(0, 0.0)
 
-    low = np.zeros(1 << nbits)  # transposed layout: low bits on top
-    for e, rate in cells.items():
-        if e & ~edges == 0:
-            c = sum(1 << i for i, b in enumerate(bits) if e >> b & 1)
-            low[(c & ((1 << k) - 1)) << h | c >> k] += rate
-    high = np.empty_like(low)  # natural layout
+    inside = {
+        sum(1 << i for i, b in enumerate(bits) if e >> b & 1): rate
+        for e, rate in cells.items()
+        if e & ~edges == 0
+    }
+    rows = sorted({c >> k for c in inside})
+    column = {row: j for j, row in enumerate(rows)}
+    low = np.zeros((1 << k, len(rows)))
+    for c, rate in inside.items():
+        low[c & ((1 << k) - 1), column[c >> k]] = rate
+    _passes(low, range(k), np.add, len(rows))
 
-    def passes(x: np.ndarray, positions: range, op: np.ufunc) -> None:
-        for p in positions:
-            view = x.reshape(-1, 2, 1 << p)
-            op(view[:, 1, :], view[:, 0, :], out=view[:, 1, :])
+    law = np.zeros(1 << nbits)
+    law.reshape(-1, 1 << k)[rows] = low.T
+    _passes(law, range(k, nbits), np.add)
+    np.subtract(law, total, out=law)
+    np.exp(law, out=law)
+    return law
 
-    def transpose(src: np.ndarray, dst: np.ndarray, rows: int) -> None:
-        s = src.reshape(rows, -1)
-        d = dst.reshape(-1, rows)
-        for r in range(0, rows, _TRANSPOSE_ROWS):
-            d[:, r : r + _TRANSPOSE_ROWS] = s[r : r + _TRANSPOSE_ROWS].T
 
-    passes(low, range(h, nbits), np.add)
-    transpose(low, high, 1 << k)
-    passes(high, range(k, nbits), np.add)
-    np.subtract(high, total, out=high)
-    np.exp(high, out=high)
-    transpose(high, low, 1 << h)
-    passes(low, range(h, nbits), np.subtract)
-    transpose(low, high, 1 << k)
-    passes(high, range(k, nbits), np.subtract)
-    return high
+def _moebius_law(cumulative: np.ndarray) -> np.ndarray:
+    """P(graph = e) for every cell of ``cumulative``, overwriting it.
+
+    A pass at bit position p streams runs of 2^p cells, and NumPy's per-run
+    overhead dominates on short ones.  So the low k = nbits // 2 bits are
+    processed in a transposed layout that puts them at the top positions, and
+    the high bits in the natural layout, with blocked copies in between, still
+    in bit order 0 .. nbits - 1.
+    """
+    import numpy as np
+
+    nbits = cumulative.size.bit_length() - 1
+    k = nbits // 2
+    h = nbits - k
+    low = np.empty_like(cumulative)  # transposed layout: low bits on top
+    _transpose(cumulative, low, 1 << h)
+    _passes(low, range(h, nbits), np.subtract)
+    _transpose(low, cumulative, 1 << k)
+    _passes(cumulative, range(k, nbits), np.subtract)
+    return cumulative
+
+
+def _moebius_cell(cumulative: np.ndarray) -> float:
+    """P(graph = every edge of the cube), the last cell of ``_moebius_law``.
+
+    The halving pass at bit p keeps the cells with bits 0 .. p set, and those
+    are all that the last cell reads after pass p, so each subtraction is the
+    butterfly's own: 2^nbits cells of work and no transposes.
+    """
+    x = cumulative
+    while x.size > 1:
+        x = x[1::2] - x[0::2]
+    return float(x[0])
+
+
+def _transform(
+    n: int, rates: list[float], edges: int, moebius: Callable[[np.ndarray], _T]
+) -> _T:
+    """``moebius`` applied to the cumulative law of the graphs inside ``edges``,
+    with NumPy's ufunc buffer at ``_PASS_BUFSIZE`` for the passes and restored
+    afterwards."""
+    import numpy as np
+
+    bufsize = np.getbufsize()
+    np.setbufsize(_PASS_BUFSIZE)
+    try:
+        return moebius(_cumulative_law(n, rates, edges))
+    finally:
+        np.setbufsize(bufsize)
 
 
 def graph_law(n: int, schedule: RateSchedule, *, cap: int | None = None) -> np.ndarray:
@@ -290,23 +360,28 @@ def graph_law(n: int, schedule: RateSchedule, *, cap: int | None = None) -> np.n
     Bit b of the index carries edge ``edge_bit_pairs(n)[b]``.  Computed via the
     cumulative law F(e) = P(graph <= e) = exp(T(e) - T(full)), where T is the
     subset-sum transform of clique rates over the edge lattice, then inverted
-    by a Moebius pass; both run in two memory layouts and are bit-identical to
-    the plain per-bit butterfly.  Cost O(2^C(n,2) * C(n,2)).  Raises ValueError
-    when the level's total rate overflows.
+    by a Moebius pass.  The transform's low-bit passes run on the rows that
+    hold a clique only, the Moebius passes in two memory layouts, and NumPy's
+    ufunc buffer size is set for the passes and restored afterwards; every
+    cell is bit-identical to the plain per-bit butterfly.  Cost
+    O(2^C(n,2) * C(n,2)).  Raises ValueError when the level's total rate
+    overflows.
     """
     _law_cap(n, cap)
     rates, _ = _graph_rates(schedule, n)
-    return _subcube_law(n, rates, (1 << n * (n - 1) // 2) - 1)
+    return _transform(n, rates, (1 << n * (n - 1) // 2) - 1, _moebius_law)
 
 
 def graph_prob(graph: Graph, schedule: RateSchedule, *, cap: int | None = None) -> float:
     """P(projected graph = graph), exactly.
 
     Uses the clique-subset walk when the graph has at most CLIQUE_SUBSET_CAP
-    cliques.  Otherwise runs the whole-level transform on the 2^|E(G)| graphs
-    inside E(G) and returns the same float as ``graph_law(n)[mask of G]``;
-    the level cap of ``graph_law`` applies.  Raises ValueError when the level's
-    total rate overflows.
+    cliques.  Otherwise builds the cumulative law of the 2^|E(G)| graphs inside
+    E(G), as ``graph_law`` does, and reads the one cell at E(G) by halving
+    Moebius passes, which make the butterfly's own subtractions for that cell
+    and need no transposes; it returns the same float as
+    ``graph_law(n)[mask of G]``, and the level cap of ``graph_law`` applies.
+    Raises ValueError when the level's total rate overflows.
     """
     cliques = clique_set(graph)
     rates, total_rate = _graph_rates(schedule, graph.n)
@@ -317,7 +392,7 @@ def graph_prob(graph: Graph, schedule: RateSchedule, *, cap: int | None = None) 
         clique_rate = sum(rates[a.bit_count()] for a in cliques)
         return math.exp(clique_rate - total_rate) * weight
     _law_cap(graph.n, cap)
-    return float(_subcube_law(graph.n, rates, graph_to_edge_mask(graph))[-1])
+    return _transform(graph.n, rates, graph_to_edge_mask(graph), _moebius_cell)
 
 
 def transitivity_conditional(schedule: RateSchedule) -> float:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Iterator, Mapping
 
 from .lattice import (
     GeneratingClass,
@@ -208,11 +208,17 @@ def sample_pipeline(
     return PipelineSample(realization, family, cover, clique_graph(cover))
 
 
-def sample_graph_batch(schedule: RateSchedule, n: int, draws: int, seed: int) -> np.ndarray:
-    """Edge bitmasks of ``draws`` projected graphs, vectorized per subset stream.
+def _graph_batches(
+    schedule: RateSchedule, n: int, draws: int, seed: int, chunk: int
+) -> Iterator[np.ndarray]:
+    """Edge bitmasks of draws 0 .. draws - 1, in successive arrays of at most
+    ``chunk`` draws.
 
-    Draw d thresholds the d-th uniform of stream (seed, a) for every subset a,
-    so the batch is deterministic and its first column matches single draws.
+    Draw d thresholds the d-th uniform of stream (seed, a) for every subset a.
+    Each stream is built once and read on from block to block, and a stream's
+    doubles come out in the same order however its reads are split, so the
+    blocks concatenate to the same masks for every ``chunk``.  A stream is kept
+    between blocks only when another block follows.
     """
     import numpy as np
 
@@ -221,9 +227,26 @@ def sample_graph_batch(schedule: RateSchedule, n: int, draws: int, seed: int) ->
         raise ValueError("draws must be non-negative")
     pmt = pair_masks(n)
     rates = [schedule.rate(n, r) for r in range(n + 1)]
-    out = np.zeros(draws, dtype=np.int64)
-    for a in all_masks(n):
-        rate = rates[a.bit_count()]
-        if a.bit_count() >= 2 and rate > 0.0:
-            out[_keyed_stream(seed, a).random(draws) >= math.exp(-rate)] |= pmt[a]
-    return out
+    drawn = [a for a in all_masks(n) if a.bit_count() >= 2 and rates[a.bit_count()] > 0.0]
+    streams: dict[int, np.random.Generator] = {}
+    for start in range(0, draws, chunk):
+        size = min(chunk, draws - start)
+        out = np.zeros(size, dtype=np.int64)
+        for a in drawn:
+            stream = streams.pop(a) if start else _keyed_stream(seed, a)
+            out[stream.random(size) >= math.exp(-rates[a.bit_count()])] |= pmt[a]
+            if start + size < draws:
+                streams[a] = stream
+        yield out
+
+
+def sample_graph_batch(schedule: RateSchedule, n: int, draws: int, seed: int) -> np.ndarray:
+    """Edge bitmasks of ``draws`` projected graphs, vectorized per subset stream.
+
+    Draw d thresholds the d-th uniform of stream (seed, a) for every subset a,
+    so the batch is deterministic and its first column matches single draws.
+    """
+    import numpy as np
+
+    batches = _graph_batches(schedule, n, draws, seed, max(draws, 1))
+    return next(batches, np.zeros(0, dtype=np.int64))

@@ -183,6 +183,23 @@ def test_mc_vs_exact_pass_and_fail(capsys):
     assert doc["results"]["flagged_cells"] > 0
 
 
+def test_mc_vs_exact_counts_do_not_depend_on_the_block_size(monkeypatch):
+    import numpy as np
+
+    from poissonclique import cli
+    from poissonclique.sampling import sample_graph_batch
+    from poissonclique.schedules import GeometricSchedule
+
+    schedule = GeometricSchedule(alpha=0.5)
+    draws = 20_000
+    assert draws < cli.MC_CHUNK_DRAWS
+    whole = cli.mc_vs_exact(schedule, 3, draws, 5)
+    freq = np.bincount(sample_graph_batch(schedule, 3, draws, 5), minlength=8) / draws
+    assert [cell["empirical"] for cell in whole["cells"]] == freq.tolist()
+    monkeypatch.setattr(cli, "MC_CHUNK_DRAWS", 777)  # 25 full blocks and a short one
+    assert cli.mc_vs_exact(schedule, 3, draws, 5) == whole
+
+
 def test_sample_seeds_and_determinism(capsys):
     argv = ["sample", "--schedule", GEOM_HALF, "--n", "3", "--seed", "11", "--draws", "3"]
     code, first, _ = run_cli(argv, capsys)

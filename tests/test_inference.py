@@ -32,6 +32,7 @@ from poissonclique.lattice import (
     ResourceCapError,
     SubsetFamily,
     clique_graph,
+    edge_index,
     edge_mask_to_graph,
     graph_to_edge_mask,
     iter_submasks,
@@ -728,6 +729,62 @@ def test_graph_law_equals_butterfly_oracle_random_schedules():
 def test_graph_law_equals_butterfly_oracle_property(kind, alpha, c, n):
     schedule = GeometricSchedule(alpha=alpha, c=c) if kind == "geometric" else BetaUniformSchedule(c=c)
     assert_same_bits(graph_law(n, schedule), butterfly_law(n, level_rates(schedule, n)))
+
+
+def subcube_cells(edges, nbits):
+    """The whole-level mask of every cell of the kernel's sub-cube at ``edges``:
+    compacted bit i carries the i-th set bit of ``edges``."""
+    compacted = np.arange(1 << edges.bit_count())
+    cells = np.zeros_like(compacted)
+    for i, b in enumerate(b for b in range(nbits) if edges >> b & 1):
+        cells |= (compacted >> i & 1) << b
+    return cells
+
+
+@pytest.mark.parametrize("n", (6, 7))
+@pytest.mark.parametrize("schedule", EXACT_LAW_SCHEDULES, ids=repr)
+def test_kernel_subcubes_equal_butterfly_oracle(schedule, n):
+    nbits = n * (n - 1) // 2
+    rates = level_rates(schedule, n)
+    oracle = butterfly_law(n, rates)
+    rng = random.Random(101 + n)
+    star = sum(1 << edge_index(1, j) for j in range(2, n + 1))  # no triangle
+    edge_sets = [0, star, (1 << nbits) - 1]
+    edge_sets += [
+        sum(1 << b for b in range(nbits) if rng.random() < density)
+        for density in (rng.uniform(0.2, 0.9) for _ in range(20))
+    ]
+    for edges in edge_sets:
+        law = inference._transform(n, rates, edges, inference._moebius_law)
+        assert_same_bits(law, oracle[subcube_cells(edges, nbits)])
+        cell = inference._transform(n, rates, edges, inference._moebius_cell)
+        assert cell == oracle[edges]
+        assert_same_bits(np.array([cell]), oracle[[edges]])
+
+
+def test_transform_restores_ufunc_buffer_size():
+    schedule = GeometricSchedule(alpha=0.5)
+    bufsize = np.getbufsize()
+    np.setbufsize(4096)
+    try:
+        graph_law(7, schedule)
+        assert np.getbufsize() == 4096
+        assert len(clique_set(complete_graph(7))) > CLIQUE_SUBSET_CAP
+        graph_prob(complete_graph(7), schedule)  # whole-level fallback
+        assert np.getbufsize() == 4096
+        with pytest.raises(ValueError, match="level 3"):
+            graph_law(3, OVERFLOWING_TRIANGLE)
+        assert np.getbufsize() == 4096
+
+        def failing(cumulative):
+            assert np.getbufsize() == inference._PASS_BUFSIZE
+            raise ArithmeticError("raised inside the passes")
+
+        with pytest.raises(ArithmeticError):
+            inference._transform(3, level_rates(schedule, 3), 0b111, failing)
+        assert np.getbufsize() == 4096
+    finally:
+        np.setbufsize(bufsize)
 
 
 def clique_rich_graphs(n, rng, count):

@@ -23,6 +23,7 @@ from poissonclique.sampling import (
     METHOD_BERNOULLI,
     PointProcessRealization,
     _first_uniforms,
+    _graph_batches,
     sample_graph_batch,
     sample_pipeline,
     sample_point_process,
@@ -235,6 +236,22 @@ def test_batch_deterministic():
     b = sample_graph_batch(GEOM, 4, 1000, 31)
     assert np.array_equal(a, b)
     assert sample_graph_batch(GEOM, 4, 0, 31).size == 0
+
+
+@pytest.mark.parametrize("n", (3, 5))
+def test_blocked_counts_equal_unchunked_bincount(n):
+    draws = 10_007
+    cells = 1 << n * (n - 1) // 2
+    batch = sample_graph_batch(GEOM, n, draws, 2024)
+    whole = np.bincount(batch, minlength=cells)
+    for chunk in (3, 1000, 4096, draws - 1, draws, draws + 5):
+        blocks = list(_graph_batches(GEOM, n, draws, 2024, chunk))
+        assert [block.size for block in blocks[:-1]] == [chunk] * (len(blocks) - 1)
+        assert np.array_equal(np.concatenate(blocks), batch)
+        counts = np.zeros(cells, dtype=np.int64)
+        for block in blocks:
+            counts += np.bincount(block, minlength=cells)
+        assert np.array_equal(counts, whole)
 
 
 # ---------------------------------------------------------------------------

@@ -57,7 +57,7 @@ TRIANGLE = '{"n":3,"edges":[[1,2],[1,3],[2,3]]}'
         ),
         (
             ["mc-vs-exact", "--schedule", GEOM, "--n", "3", "--draws", "10", "--seed", "1"],
-            {"mc_vs_exact", "graph_law", "sample_graph_batch"},
+            {"mc_vs_exact", "graph_law"},  # draws are counted block by block, not batched
         ),
         (["graph-prob", "--graph", TRIANGLE, "--schedule", GEOM], {"graph_prob"}),
         (["covers", "--graph", TRIANGLE], {"enumerate_monotone_covers"}),
