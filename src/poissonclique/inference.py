@@ -15,14 +15,16 @@ complements.  Two computation paths are used:
   transform starts sparse: at most 2^n - n - 1 cells hold a clique, so its low
   edge-bit passes run on a small array with one column per nonzero row of the
   natural layout, which then takes the high-bit passes.  ``graph_law`` prices
-  all 2^C(n,2) graphs at once, with the Moebius passes in two memory layouts,
-  low edge bits first in a transposed one, so that every pass streams long
-  contiguous runs.  The clique-rich fallback of ``graph_prob`` builds the
-  cumulative law of the 2^|E(G)| graphs inside E(G) and reads its one cell by
-  halving passes.  The passes run with NumPy's ufunc buffer at 1024 elements,
-  restored afterwards, so runs of 1024-2048 cells are not copied through it.
-  Each cell still sees the same float operations, in the same order, as the
-  plain per-bit butterfly.
+  all 2^C(n,2) graphs at once in one array: the exp and the low edge-bit
+  Moebius passes run one cache-sized row tile at a time, transposed into a
+  small buffer so that every pass streams long contiguous runs, and the high
+  edge-bit passes run in the natural layout.  The clique-rich fallback of
+  ``graph_prob`` builds the cumulative law of the 2^|E(G)| graphs inside E(G)
+  and reads its one cell by halving passes, the low ones on the same row
+  tiles.  The passes run with NumPy's ufunc buffer at 1024 elements, restored
+  afterwards, so runs of 1024-2048 cells are not copied through it.  Each cell
+  still sees the same float operations, in the same order, as the plain
+  per-bit butterfly.
 
 Subsets of cardinality <= 1 never affect the graph; they are marginalized out of
 every graph computation and cancel from every conditional ratio.
@@ -222,12 +224,15 @@ def _law_cap(n: int, cap: int | None) -> None:
         raise ResourceCapError(f"whole-level graph law needs 2**{n * (n - 1) // 2} entries (cap n <= {cap})")
 
 
-_TRANSPOSE_ROWS = 64
 # NumPy copies a pass's runs through its ufunc buffer when they are shorter
 # than half of it (8192 elements by default); runs of 1024-2048 cells then cost
-# about twice as much per cell.  The shortest run of a pass over the whole
-# array is 2^(nbits // 2) cells, 1024 at n = 7.
+# about twice as much per cell.  The shortest run of a high-bit pass is
+# 2^(nbits // 2) cells, 1024 at n = 7.
 _PASS_BUFSIZE = 1024
+# Cells per row tile of the low-bit work: 1 MiB of float64, half of a 2 MiB L2
+# cache, so a tile's exp and its k passes stay in cache; larger tiles measured
+# slower at n = 7.
+_TILE_CELLS = 1 << 17
 
 
 def _passes(x: np.ndarray, positions: range, op: np.ufunc, width: int = 1) -> None:
@@ -238,17 +243,10 @@ def _passes(x: np.ndarray, positions: range, op: np.ufunc, width: int = 1) -> No
         op(view[:, 1, :], view[:, 0, :], out=view[:, 1, :])
 
 
-def _transpose(src: np.ndarray, dst: np.ndarray, rows: int) -> None:
-    s = src.reshape(rows, -1)
-    d = dst.reshape(-1, rows)
-    for r in range(0, rows, _TRANSPOSE_ROWS):
-        d[:, r : r + _TRANSPOSE_ROWS] = s[r : r + _TRANSPOSE_ROWS].T
-
-
-def _cumulative_law(n: int, rates: list[float], edges: int) -> np.ndarray:
-    """F(e) = P(graph <= e) = exp(T(e) - T(full)) for every graph e on [n]
-    whose edges lie inside ``edges``; index bit i carries the i-th set bit of
-    ``edges``.
+def _log_cumulative_law(n: int, rates: list[float], edges: int) -> np.ndarray:
+    """log F(e) = T(e) - T(full) for every graph e on [n] whose edges lie
+    inside ``edges``, where F(e) = P(graph <= e); index bit i carries the i-th
+    set bit of ``edges``.  The consumer takes the exp, one row tile at a time.
 
     A zeta pass over an edge bit outside ``edges`` never writes a cell inside
     it, and one over a bit inside reads only cells inside, so these cells of
@@ -299,40 +297,67 @@ def _cumulative_law(n: int, rates: list[float], edges: int) -> np.ndarray:
     law.reshape(-1, 1 << k)[rows] = low.T
     _passes(law, range(k, nbits), np.add)
     np.subtract(law, total, out=law)
-    np.exp(law, out=law)
     return law
 
 
-def _moebius_law(cumulative: np.ndarray) -> np.ndarray:
-    """P(graph = e) for every cell of ``cumulative``, overwriting it.
+def _row_tiles(log_cumulative: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
+    """k = nbits // 2, the natural layout as rows of 2^k cells (one row per
+    high part), and a scratch buffer for the low-bit work on one row tile:
+    about ``_TILE_CELLS`` cells, at least one row and at most all of them."""
+    import numpy as np
+
+    k = (log_cumulative.size.bit_length() - 1) // 2
+    rows = log_cumulative.reshape(-1, 1 << k)
+    return k, rows, np.empty(max(1, min(_TILE_CELLS >> k, len(rows))) << k)
+
+
+def _moebius_law(log_cumulative: np.ndarray) -> np.ndarray:
+    """P(graph = e) for every cell, from ``_log_cumulative_law``, overwriting it.
 
     A pass at bit position p streams runs of 2^p cells, and NumPy's per-run
-    overhead dominates on short ones.  So the low k = nbits // 2 bits are
-    processed in a transposed layout that puts them at the top positions, and
-    the high bits in the natural layout, with blocked copies in between, still
+    overhead dominates on short ones.  So the rows are swept one cache-sized
+    tile at a time: each tile is copied transposed into the buffer, low bits
+    on axis 0, where it takes the exp and the passes over the low k bits in
+    runs of at least one cell per tile row, and is copied back.  The high
+    bits follow in the natural layout.  Every cell still sees its operations
     in bit order 0 .. nbits - 1.
     """
     import numpy as np
 
-    nbits = cumulative.size.bit_length() - 1
-    k = nbits // 2
-    h = nbits - k
-    low = np.empty_like(cumulative)  # transposed layout: low bits on top
-    _transpose(cumulative, low, 1 << h)
-    _passes(low, range(h, nbits), np.subtract)
-    _transpose(low, cumulative, 1 << k)
-    _passes(cumulative, range(k, nbits), np.subtract)
-    return cumulative
+    k, rows, buf = _row_tiles(log_cumulative)
+    step = buf.size >> k
+    for r in range(0, len(rows), step):
+        natural = rows[r : r + step]
+        tile = buf[: natural.size].reshape(1 << k, -1)
+        np.copyto(tile, natural.T)
+        np.exp(tile, out=tile)
+        _passes(tile, range(k), np.subtract, len(natural))
+        np.copyto(natural, tile.T)
+    _passes(log_cumulative, range(k, log_cumulative.size.bit_length() - 1), np.subtract)
+    return log_cumulative
 
 
-def _moebius_cell(cumulative: np.ndarray) -> float:
+def _moebius_cell(log_cumulative: np.ndarray) -> float:
     """P(graph = every edge of the cube), the last cell of ``_moebius_law``.
 
     The halving pass at bit p keeps the cells with bits 0 .. p set, and those
     are all that the last cell reads after pass p, so each subtraction is the
-    butterfly's own: 2^nbits cells of work and no transposes.
+    butterfly's own: 2^nbits cells of work.  The exp and the low k halvings run
+    on one row tile at a time, leaving one value per row, and the high
+    halvings run on those.
     """
-    x = cumulative
+    import numpy as np
+
+    k, rows, buf = _row_tiles(log_cumulative)
+    step = buf.size >> k
+    x = np.empty(len(rows))
+    for r in range(0, len(rows), step):
+        natural = rows[r : r + step]
+        tile = buf[: natural.size].reshape(natural.shape)
+        np.exp(natural, out=tile)
+        while tile.shape[1] > 1:
+            tile = tile[:, 1::2] - tile[:, 0::2]
+        x[r : r + step] = tile[:, 0]
     while x.size > 1:
         x = x[1::2] - x[0::2]
     return float(x[0])
@@ -341,15 +366,15 @@ def _moebius_cell(cumulative: np.ndarray) -> float:
 def _transform(
     n: int, rates: list[float], edges: int, moebius: Callable[[np.ndarray], _T]
 ) -> _T:
-    """``moebius`` applied to the cumulative law of the graphs inside ``edges``,
-    with NumPy's ufunc buffer at ``_PASS_BUFSIZE`` for the passes and restored
-    afterwards."""
+    """``moebius`` applied to the log cumulative law of the graphs inside
+    ``edges``, with NumPy's ufunc buffer at ``_PASS_BUFSIZE`` for the passes
+    and restored afterwards."""
     import numpy as np
 
     bufsize = np.getbufsize()
     np.setbufsize(_PASS_BUFSIZE)
     try:
-        return moebius(_cumulative_law(n, rates, edges))
+        return moebius(_log_cumulative_law(n, rates, edges))
     finally:
         np.setbufsize(bufsize)
 
@@ -361,11 +386,12 @@ def graph_law(n: int, schedule: RateSchedule, *, cap: int | None = None) -> np.n
     cumulative law F(e) = P(graph <= e) = exp(T(e) - T(full)), where T is the
     subset-sum transform of clique rates over the edge lattice, then inverted
     by a Moebius pass.  The transform's low-bit passes run on the rows that
-    hold a clique only, the Moebius passes in two memory layouts, and NumPy's
-    ufunc buffer size is set for the passes and restored afterwards; every
-    cell is bit-identical to the plain per-bit butterfly.  Cost
-    O(2^C(n,2) * C(n,2)).  Raises ValueError when the level's total rate
-    overflows.
+    hold a clique only, the exp and the low-bit Moebius passes on one
+    cache-sized row tile at a time, and NumPy's ufunc buffer size is set for
+    the passes and restored afterwards; every cell is bit-identical to the
+    plain per-bit butterfly.  Cost O(2^C(n,2) * C(n,2)) time, and memory for
+    the returned array plus a tile of about 1 MiB (n = 7: a 16 MiB law in
+    about 40 ms).  Raises ValueError when the level's total rate overflows.
     """
     _law_cap(n, cap)
     rates, _ = _graph_rates(schedule, n)
@@ -378,10 +404,12 @@ def graph_prob(graph: Graph, schedule: RateSchedule, *, cap: int | None = None) 
     Uses the clique-subset walk when the graph has at most CLIQUE_SUBSET_CAP
     cliques.  Otherwise builds the cumulative law of the 2^|E(G)| graphs inside
     E(G), as ``graph_law`` does, and reads the one cell at E(G) by halving
-    Moebius passes, which make the butterfly's own subtractions for that cell
-    and need no transposes; it returns the same float as
-    ``graph_law(n)[mask of G]``, and the level cap of ``graph_law`` applies.
-    Raises ValueError when the level's total rate overflows.
+    Moebius passes, which make the butterfly's own subtractions for that cell;
+    the exp and the low-bit halvings run one row tile at a time, so the
+    cumulative law is the only array of its size (K7: 16 MiB, about 18 ms).  It
+    returns the same float as ``graph_law(n)[mask of G]``, and the level cap
+    of ``graph_law`` applies.  Raises ValueError when the level's total rate
+    overflows.
     """
     cliques = clique_set(graph)
     rates, total_rate = _graph_rates(schedule, graph.n)
@@ -562,7 +590,7 @@ def exchangeability_discrepancy(schedule: RateSchedule, n: int, *, cap: int | No
     the stabilizer chain S_2 < ... < S_n: S_m is the union of the cosets
     S_{m-1} tau_{j,m}, j < m, where tau_{j,m} swaps vertices j and m, so level
     m folds in the minimum at tau_{j,m} G.  Cost: n(n-1)/2 gathers over the
-    2^C(n,2) cells; n = 7 takes about a second where n! relabelings took about
+    2^C(n,2) cells; n = 7 takes about 0.35 s where n! relabelings took about
     half an hour.
     """
     import numpy as np

@@ -2,6 +2,7 @@ import decimal
 import itertools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -741,10 +742,26 @@ def subcube_cells(edges, nbits):
     return cells
 
 
-@pytest.mark.parametrize("n", (6, 7))
+# the default tile covers a whole level at n <= 6, so smaller ones put tile
+# boundaries there: one cell (one row per tile), one row of the level's own
+# 2^(nbits // 2) cells, and a third of the level (an uneven last tile)
+TILE_CELLS = {
+    "one cell": lambda nbits: 1,
+    "one row": lambda nbits: 1 << nbits // 2,
+    "uneven": lambda nbits: (1 << nbits) // 3,
+}
+
+
+@pytest.mark.parametrize(
+    "n, tile",
+    [pytest.param(n, None, id=str(n)) for n in (6, 7)]
+    + [pytest.param(n, tile, id=f"{n}-tile {tile}") for n in (5, 6) for tile in TILE_CELLS],
+)
 @pytest.mark.parametrize("schedule", EXACT_LAW_SCHEDULES, ids=repr)
-def test_kernel_subcubes_equal_butterfly_oracle(schedule, n):
+def test_kernel_subcubes_equal_butterfly_oracle(schedule, n, tile, monkeypatch):
     nbits = n * (n - 1) // 2
+    if tile is not None:
+        monkeypatch.setattr(inference, "_TILE_CELLS", TILE_CELLS[tile](nbits))
     rates = level_rates(schedule, n)
     oracle = butterfly_law(n, rates)
     rng = random.Random(101 + n)
@@ -785,6 +802,26 @@ def test_transform_restores_ufunc_buffer_size():
         assert np.getbufsize() == 4096
     finally:
         np.setbufsize(bufsize)
+
+
+def test_whole_level_kernels_hold_one_level_array():
+    # the n = 7 law is 2^21 float64 cells; row tiles add about 1 MiB to it,
+    # and a second level-sized array would double the peak
+    schedule = GeometricSchedule(alpha=0.5)
+    level_bytes = (1 << 21) * 8
+    calls = {
+        "graph_law": lambda: graph_law(7, schedule),
+        "graph_prob fallback": lambda: graph_prob(complete_graph(7), schedule),
+        "marginal_restriction_check": lambda: marginal_restriction_check(schedule, 6, 7),
+    }
+    for name, call in calls.items():
+        tracemalloc.start()
+        try:
+            call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * level_bytes, f"{name}: peak {peak / level_bytes:.2f} x the level"
 
 
 def clique_rich_graphs(n, rng, count):
