@@ -193,6 +193,8 @@ def _schedule_derive(args, cap):
 
 
 def _check_consistency(args, cap):
+    if args.n < 2:
+        raise ValueError(f"--n must be at least 2, so that a lower level m < n exists; got {args.n}")
     schedule = schedule_from_dict(args.schedule)
     m = getattr(args, "m", None)
     targets = [m] if m is not None else range(1, args.n)
@@ -234,6 +236,15 @@ def _seed(text: str) -> int:
         raise argparse.ArgumentTypeError(f"must be an integer in [0, 2^64), got {text!r}") from None
 
 
+def _level(text: str) -> int:
+    try:
+        if int(text) >= 0:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
+
+
 class Command(NamedTuple):
     help: str
     flags: tuple[tuple[str, dict], ...]
@@ -253,7 +264,7 @@ SCHEDULE_HELP = 'schedule JSON, e.g. \'{"kind":"geometric","alpha":0.5,"c":1}\''
 SCHEDULE = _flag("--schedule", required=True, help=SCHEDULE_HELP)
 GRAPH = _flag("--graph", required=True, help='graph JSON {"n":..,"edges":[[i,j],..]}')
 SUBSET = _flag("--subset", required=True, help="JSON list of vertices, e.g. [1,2]")
-N = _flag("--n", type=int, required=True, help="ground-set size (level)")
+N = _flag("--n", type=_level, required=True, help="ground-set size (level)")
 SEED = _flag("--seed", type=_seed, required=True, help="seed in [0, 2^64)")
 EXACT_TOL = _flag("--tol", type=float, default=1e-10)
 

@@ -219,6 +219,8 @@ def _graph_rates(schedule: RateSchedule, n: int) -> tuple[list[float], float]:
 
 
 def _law_cap(n: int, cap: int | None) -> None:
+    if n < 0:
+        raise ValueError(f"level must be >= 0, got {n}")
     cap = GRAPH_ENUM_CAP if cap is None else cap
     if n > cap:
         raise ResourceCapError(f"whole-level graph law needs 2**{n * (n - 1) // 2} entries (cap n <= {cap})")
@@ -260,15 +262,17 @@ def _log_cumulative_law(n: int, rates: list[float], edges: int) -> np.ndarray:
     that share their high bits.  So the low passes run on one column per
     nonzero row, low bits on axis 0 so that runs are long, and the columns are
     then scattered into the natural layout; every other row stays 0.0, as the
-    butterfly leaves it.  The high passes follow in place.  Bits are processed
-    in order 0 .. nbits - 1, so every cell is bit-identical to the plain
-    per-bit butterfly.
+    butterfly leaves it.  The cliques inside ``edges``, their compacted keys
+    and their columns come from array arithmetic on the pair masks, and one
+    fancy assignment places the rates.  The high passes follow in place.
+    Bits are processed in order 0 .. nbits - 1, so every cell is
+    bit-identical to the plain per-bit butterfly.
     """
     import numpy as np
 
     pmt = pair_masks(n)
-    bits = [b for b in range(n * (n - 1) // 2) if edges >> b & 1]
-    nbits = len(bits)
+    bits = np.flatnonzero(edges >> np.arange(n * (n - 1) // 2) & 1)
+    nbits = bits.size
     k = nbits // 2
     # 0.0 + rate is the dense scatter's own addition (it turns -0.0 into 0.0)
     cells = {pmt[a]: 0.0 + rates[a.bit_count()] for a in all_masks(n) if a.bit_count() >= 2}
@@ -281,17 +285,14 @@ def _log_cumulative_law(n: int, rates: list[float], edges: int) -> np.ndarray:
         }
     total = folded.get(0, 0.0)
 
-    inside = {
-        sum(1 << i for i, b in enumerate(bits) if e >> b & 1): rate
-        for e, rate in cells.items()
-        if e & ~edges == 0
-    }
-    rows = sorted({c >> k for c in inside})
-    column = {row: j for j, row in enumerate(rows)}
-    low = np.zeros((1 << k, len(rows)))
-    for c, rate in inside.items():
-        low[c & ((1 << k) - 1), column[c >> k]] = rate
-    _passes(low, range(k), np.add, len(rows))
+    keys = np.fromiter(cells, np.int64, len(cells))
+    inside = keys & ~edges == 0
+    # bit i of a compacted key is edge bit bits[i] of the clique's pair mask
+    compact = ((keys[inside, None] >> bits & 1) << np.arange(nbits)).sum(axis=1)
+    rows, column = np.unique(compact >> k, return_inverse=True)
+    low = np.zeros((1 << k, rows.size))
+    low[compact & (1 << k) - 1, column] = np.fromiter(cells.values(), float, len(cells))[inside]
+    _passes(low, range(k), np.add, rows.size)
 
     law = np.zeros(1 << nbits)
     law.reshape(-1, 1 << k)[rows] = low.T
@@ -556,28 +557,14 @@ def marginal_restriction_check(
     return float(np.abs(folded - law_m).max())
 
 
-def _swap_index(n: int, j: int, m: int) -> np.ndarray:
-    """For every edge mask on [n], the edge mask after swapping vertices j and m.
-
-    A relabeling moves each edge bit to one fixed position, so the image of a
-    mask is the OR of the images of its low and high halves; two small tables
-    joined by one outer OR build the whole int32 index (2^21 cells at n = 7).
-    """
-    import numpy as np
-
+def _swap_axes(n: int, j: int, m: int) -> list[int]:
+    """The transpose of the (2,) * C(n,2) edge cube that swaps vertices j and
+    m.  In C order axis t carries edge bit top - t, and the swap moves edge
+    bit b to dest[b]."""
     rename = {j: m, m: j}
-    dest = [
-        edge_index(*sorted((rename.get(x, x), rename.get(y, y)))) for x, y in edge_bit_pairs(n)
-    ]
-    half = len(dest) // 2
-
-    def table(bits: list[int]) -> np.ndarray:
-        out = np.zeros(1 << len(bits), dtype=np.int32)
-        for b, d in enumerate(bits):
-            out.reshape(-1, 2, 1 << b)[:, 1, :] |= 1 << d
-        return out
-
-    return (table(dest[half:])[:, None] | table(dest[:half])[None, :]).ravel()
+    dest = [edge_index(*sorted((rename.get(x, x), rename.get(y, y)))) for x, y in edge_bit_pairs(n)]
+    top = len(dest) - 1
+    return [top - dest[top - t] for t in range(len(dest))]
 
 
 def exchangeability_discrepancy(schedule: RateSchedule, n: int, *, cap: int | None = None) -> float:
@@ -589,15 +576,22 @@ def exchangeability_discrepancy(schedule: RateSchedule, n: int, *, cap: int | No
     the pairwise maximum over all n! relabelings.  Orbit minima are built along
     the stabilizer chain S_2 < ... < S_n: S_m is the union of the cosets
     S_{m-1} tau_{j,m}, j < m, where tau_{j,m} swaps vertices j and m, so level
-    m folds in the minimum at tau_{j,m} G.  Cost: n(n-1)/2 gathers over the
-    2^C(n,2) cells; n = 7 takes about 0.35 s where n! relabelings took about
-    half an hour.
+    m folds in the minimum at tau_{j,m} G.  A relabeling only reorders the
+    C(n,2) edge bits, so each tau_{j,m} is a transpose of the law viewed as a
+    (2,) * C(n,2) cube, folded in by one in-place minimum; NumPy computes
+    ufuncs on overlapping operands as if the input were copied first.  Cost:
+    n(n-1)/2 passes over the 2^C(n,2) cells, and memory for the law, its
+    orbit minima and one transposed copy; n = 7 takes about 0.3 s where n!
+    relabelings took about half an hour.  The cube needs one axis per edge,
+    and NumPy 1.x allows 32, so n <= 8; at n = 9 the law itself (2^36 cells)
+    cannot be allocated.
     """
     import numpy as np
 
     law = graph_law(n, schedule, cap=cap)
     lo = law.copy()
+    cube = lo.reshape((2,) * (n * (n - 1) // 2))
     for m in range(2, n + 1):
         for j in range(1, m):
-            np.minimum(lo, lo[_swap_index(n, j, m)], out=lo)
-    return float((law - lo).max())
+            np.minimum(cube, cube.transpose(_swap_axes(n, j, m)), out=cube)
+    return float(np.subtract(law, lo, out=lo).max())

@@ -75,6 +75,8 @@ def iter_submasks(mask: int) -> Iterator[int]:
 
 def all_masks(n: int) -> range:
     """Every subset of {1, ..., n} in canonical order."""
+    if n < 0:
+        raise ValueError(f"level must be >= 0, got {n}")
     if n > POWERSET_CAP:
         raise ResourceCapError(f"power-set iteration needs 2**{n} masks (cap {POWERSET_CAP})")
     return range(1 << n)

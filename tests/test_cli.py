@@ -489,6 +489,29 @@ def test_seed_outside_64_bits_exits_2(command, seed, capsys):
     assert "--seed" in captured.err
 
 
+@pytest.mark.parametrize("command", ["sample", "check-exchangeability", "mc-vs-exact", "check-consistency"])
+@pytest.mark.parametrize("n", ["-1", "-2"])
+def test_negative_level_exits_2(command, n, capsys):
+    argv = command.split() + BASE_ARGV[command]
+    argv[argv.index("--n") + 1] = n
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --n: must be an integer >= 0" in captured.err
+
+
+@pytest.mark.parametrize("n", ["0", "1"])
+def test_check_consistency_without_a_lower_level_exits_2(n, capsys):
+    argv = ["check-consistency"] + BASE_ARGV["check-consistency"]
+    argv[argv.index("--n") + 1] = n
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --n must be at least 2")
+
+
 def test_sample_successive_seeds_wrap_modulo_2_64(capsys):
     # the last in-range seed is accepted; its successor wraps to 0
     last = (1 << 64) - 1

@@ -271,6 +271,10 @@ def test_graph_law_cap():
         graph_law(8, GeometricSchedule(alpha=0.5))
     with pytest.raises(ResourceCapError):
         graph_law(3, GeometricSchedule(alpha=0.5), cap=2)
+    with pytest.raises(ValueError, match="level must be >= 0, got -1"):
+        graph_law(-1, GeometricSchedule(alpha=0.5))
+    with pytest.raises(ValueError, match="level must be >= 0, got -1"):
+        exchangeability_discrepancy(GeometricSchedule(alpha=0.5), -1)
 
 
 # ---------------------------------------------------------------------------
@@ -677,6 +681,23 @@ def test_exchangeability_discrepancy_on_non_exchangeable_laws(n, monkeypatch):
         assert exchangeability_discrepancy(None, n) == relabeling_discrepancy(law, n)
 
 
+def test_exchangeability_discrepancy_on_non_exchangeable_laws_at_21_axes(monkeypatch):
+    # n = 7 views the law as a cube of 21 axes; a law that is +1 at G and -1
+    # at sigma G reads 2 if sigma G != G, and 0 if sigma fixes G
+    n = 7
+    rng = np.random.default_rng(97)
+    size = 1 << (n * (n - 1) // 2)
+    for _ in range(6):
+        g = int(rng.integers(size))
+        sigma = Permutation(tuple(int(v) + 1 for v in rng.permutation(n)))
+        image = graph_to_edge_mask(permute_graph(edge_mask_to_graph(n, g), sigma))
+        law = np.zeros(size)
+        law[g] = 1.0
+        law[image] -= 1.0
+        monkeypatch.setattr(inference, "graph_law", lambda *args, law=law, **kw: law)
+        assert exchangeability_discrepancy(None, n) == (2.0 if image != g else 0.0)
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     kind=st.sampled_from(["geometric", "beta_uniform"]),
@@ -806,22 +827,25 @@ def test_transform_restores_ufunc_buffer_size():
 
 def test_whole_level_kernels_hold_one_level_array():
     # the n = 7 law is 2^21 float64 cells; row tiles add about 1 MiB to it,
-    # and a second level-sized array would double the peak
+    # and a second level-sized array would double the peak.  The
+    # exchangeability check holds the law, its orbit minima and one
+    # transposed copy; a fourth level-sized array would break its bound
     schedule = GeometricSchedule(alpha=0.5)
     level_bytes = (1 << 21) * 8
     calls = {
-        "graph_law": lambda: graph_law(7, schedule),
-        "graph_prob fallback": lambda: graph_prob(complete_graph(7), schedule),
-        "marginal_restriction_check": lambda: marginal_restriction_check(schedule, 6, 7),
+        "graph_law": (1.25, lambda: graph_law(7, schedule)),
+        "graph_prob fallback": (1.25, lambda: graph_prob(complete_graph(7), schedule)),
+        "marginal_restriction_check": (1.25, lambda: marginal_restriction_check(schedule, 6, 7)),
+        "exchangeability_discrepancy": (3.25, lambda: exchangeability_discrepancy(schedule, 7)),
     }
-    for name, call in calls.items():
+    for name, (bound, call) in calls.items():
         tracemalloc.start()
         try:
             call()
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 1.25 * level_bytes, f"{name}: peak {peak / level_bytes:.2f} x the level"
+        assert peak <= bound * level_bytes, f"{name}: peak {peak / level_bytes:.2f} x the level"
 
 
 def clique_rich_graphs(n, rng, count):

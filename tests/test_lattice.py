@@ -64,6 +64,8 @@ def test_mask_of_rejects_out_of_range():
 def test_all_masks_cap():
     with pytest.raises(ResourceCapError):
         all_masks(17)
+    with pytest.raises(ValueError, match="level must be >= 0, got -1"):
+        all_masks(-1)
 
 
 # ---------------------------------------------------------------------------
