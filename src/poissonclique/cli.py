@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from typing import Callable, NamedTuple
@@ -245,6 +246,15 @@ def _level(text: str) -> int:
     raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
 
 
+def _nonnegative(text: str) -> float:
+    try:
+        if math.isfinite(float(text)) and float(text) >= 0.0:
+            return float(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
+
+
 class Command(NamedTuple):
     help: str
     flags: tuple[tuple[str, dict], ...]
@@ -266,7 +276,7 @@ GRAPH = _flag("--graph", required=True, help='graph JSON {"n":..,"edges":[[i,j],
 SUBSET = _flag("--subset", required=True, help="JSON list of vertices, e.g. [1,2]")
 N = _flag("--n", type=_level, required=True, help="ground-set size (level)")
 SEED = _flag("--seed", type=_seed, required=True, help="seed in [0, 2^64)")
-EXACT_TOL = _flag("--tol", type=float, default=1e-10)
+EXACT_TOL = _flag("--tol", type=_nonnegative, default=1e-10)
 
 COMMANDS = {
     "sample": Command(
@@ -312,7 +322,7 @@ COMMANDS = {
             _flag("--c", type=float),
             _flag("--atoms", help="JSON [[x,w],...] for --kind moment_atoms"),
             _flag("--nmax", type=int, required=True),
-            _flag("--tol", type=float, default=1e-12),
+            _flag("--tol", type=_nonnegative, default=1e-12),
         ),
         _schedule_check,
     ),
@@ -339,7 +349,7 @@ COMMANDS = {
             _flag("--draws", type=int, required=True),
             SEED,
             _flag("--exact-schedule", help="use this schedule's exact law (negative control)"),
-            _flag("--se-factor", type=float, default=MC_SE_FACTOR),
+            _flag("--se-factor", type=_nonnegative, default=MC_SE_FACTOR),
         ),
         _mc_vs_exact,
     ),

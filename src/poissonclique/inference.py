@@ -14,16 +14,22 @@ complements.  Two computation paths are used:
   transform over the edge lattice and inverted by a Moebius pass.  The zeta
   transform starts sparse: at most 2^n - n - 1 cells hold a clique, so its low
   edge-bit passes run on a small array with one column per nonzero row of the
-  natural layout, which then takes the high-bit passes.  ``graph_law`` prices
-  all 2^C(n,2) graphs at once in one array: the exp and the low edge-bit
-  Moebius passes run one cache-sized row tile at a time, transposed into a
-  small buffer so that every pass streams long contiguous runs, and the high
-  edge-bit passes run in the natural layout.  The clique-rich fallback of
-  ``graph_prob`` builds the cumulative law of the 2^|E(G)| graphs inside E(G)
-  and reads its one cell by halving passes, the low ones on the same row
-  tiles.  The passes run with NumPy's ufunc buffer at 1024 elements, restored
-  afterwards, so runs of 1024-2048 cells are not copied through it.  Each cell
-  still sees the same float operations, in the same order, as the plain
+  natural layout, which then takes the high-bit passes.  A pass over bit p
+  pairs cells only inside one aligned block of 2^(p+1) cells, so both
+  transforms run the high-bit passes that fit inside a cache-sized row tile on
+  that tile, and only the rest (4 of 21 at n = 7, none at n <= 6) sweep the
+  whole array.  ``graph_law`` prices all 2^C(n,2) graphs at once in one
+  array: each row tile is copied transposed into a small buffer as it takes
+  the subtraction of T(full), so that every low-bit pass streams long
+  contiguous runs, takes the exp and the low edge-bit Moebius passes there,
+  and is copied back for its in-tile high passes.  T(full) is the zeta
+  transform's own last cell.  The clique-rich fallback of ``graph_prob``
+  builds the cumulative law of the 2^|E(G)| graphs inside E(G), where T(full)
+  of a graph short of complete comes from halvings of the clique cells, and
+  reads its one cell by halving passes, the low ones on the same row tiles.
+  The passes run with NumPy's ufunc buffer at 1024 elements, restored
+  afterwards, so runs of 1024-2048 cells are not copied through it.  Each
+  cell still sees the same float operations, in the same order, as the plain
   per-bit butterfly.
 
 Subsets of cardinality <= 1 never affect the graph; they are marginalized out of
@@ -139,7 +145,12 @@ def _cover_weight(
             memo[key] = got
         return got
 
-    return walk(0, target)
+    # walk's closure holds walk itself: without the del, the cycle keeps memo
+    # alive until the cyclic garbage collector runs
+    try:
+        return walk(0, target)
+    finally:
+        del walk
 
 
 def enumerate_monotone_covers(graph: Graph) -> CoverEnumeration:
@@ -173,7 +184,10 @@ def enumerate_monotone_covers(graph: Graph) -> CoverEnumeration:
             walk(i + 1, covered | pmt[c])
             chosen.pop()
 
-    walk(0, 0)
+    try:
+        walk(0, 0)
+    finally:
+        del walk  # the same reference cycle as in _cover_weight
     covers.sort(key=lambda gc: gc.sorted_masks())
     return CoverEnumeration(graph, tuple(covers))
 
@@ -231,9 +245,10 @@ def _law_cap(n: int, cap: int | None) -> None:
 # about twice as much per cell.  The shortest run of a high-bit pass is
 # 2^(nbits // 2) cells, 1024 at n = 7.
 _PASS_BUFSIZE = 1024
-# Cells per row tile of the low-bit work: 1 MiB of float64, half of a 2 MiB L2
-# cache, so a tile's exp and its k passes stay in cache; larger tiles measured
-# slower at n = 7.
+# Cells per row tile: 1 MiB of float64, half of a 2 MiB L2 cache, so a tile's
+# exp, its k low passes and the high passes inside it stay in cache; it also
+# sets which high passes run inside a tile (17 of 21 bits at n = 7).  Larger
+# tiles measured slower at n = 7.
 _TILE_CELLS = 1 << 17
 
 
@@ -245,17 +260,19 @@ def _passes(x: np.ndarray, positions: range, op: np.ufunc, width: int = 1) -> No
         op(view[:, 1, :], view[:, 0, :], out=view[:, 1, :])
 
 
-def _log_cumulative_law(n: int, rates: list[float], edges: int) -> np.ndarray:
-    """log F(e) = T(e) - T(full) for every graph e on [n] whose edges lie
-    inside ``edges``, where F(e) = P(graph <= e); index bit i carries the i-th
-    set bit of ``edges``.  The consumer takes the exp, one row tile at a time.
+def _log_cumulative_law(n: int, rates: list[float], edges: int) -> tuple[np.ndarray, float]:
+    """The pair (T, T(full)) whose difference is log F(e) = T(e) - T(full) for
+    every graph e on [n] whose edges lie inside ``edges``, where F(e) =
+    P(graph <= e); index bit i of T carries the i-th set bit of ``edges``.  The
+    consumer subtracts and takes the exp, one row tile at a time.
 
     A zeta pass over an edge bit outside ``edges`` never writes a cell inside
     it, and one over a bit inside reads only cells inside, so these cells of
     the whole-level transform need only the cliques whose pairs lie inside
-    ``edges``, on compacted bits.  T(full) needs every clique: it is folded
-    pairwise, bit by bit, from the nonzero cells, which are the additions the
-    full transform makes at the full mask (0.0 for an empty level).
+    ``edges``, on compacted bits.  T(full) needs every clique.  On the full
+    cube it is the transform's own last cell.  On a sub-cube it is that cell
+    of the whole-level transform, by halvings of the clique cells (see
+    ``_full_cell``).
 
     Before the zeta transform at most 2^n - n - 1 cells are nonzero, and a pass
     over one of the low k = nbits // 2 bits adds only within a row of 2^k cells
@@ -264,98 +281,138 @@ def _log_cumulative_law(n: int, rates: list[float], edges: int) -> np.ndarray:
     then scattered into the natural layout; every other row stays 0.0, as the
     butterfly leaves it.  The cliques inside ``edges``, their compacted keys
     and their columns come from array arithmetic on the pair masks, and one
-    fancy assignment places the rates.  The high passes follow in place.
-    Bits are processed in order 0 .. nbits - 1, so every cell is
-    bit-identical to the plain per-bit butterfly.
+    fancy assignment places the rates.  The passes over bits k .. c - 1 then
+    run on one row tile at a time (see ``_row_tiles``), and only the bits from
+    c on sweep the whole array: 4 of 21 at n = 7, none at n <= 6.  Bits are
+    processed in order 0 .. nbits - 1, so every cell is bit-identical to the
+    plain per-bit butterfly.
     """
     import numpy as np
 
     pmt = pair_masks(n)
-    bits = np.flatnonzero(edges >> np.arange(n * (n - 1) // 2) & 1)
+    level_bits = n * (n - 1) // 2
+    bits = np.flatnonzero(edges >> np.arange(level_bits) & 1)
     nbits = bits.size
     k = nbits // 2
     # 0.0 + rate is the dense scatter's own addition (it turns -0.0 into 0.0)
     cells = {pmt[a]: 0.0 + rates[a.bit_count()] for a in all_masks(n) if a.bit_count() >= 2}
-
-    folded = cells
-    for _ in range(n * (n - 1) // 2):
-        folded = {
-            key: folded.get(2 * key + 1, 0.0) + folded.get(2 * key, 0.0)
-            for key in {e >> 1 for e in folded}
-        }
-    total = folded.get(0, 0.0)
-
     keys = np.fromiter(cells, np.int64, len(cells))
+    values = np.fromiter(cells.values(), float, len(cells))
+
     inside = keys & ~edges == 0
     # bit i of a compacted key is edge bit bits[i] of the clique's pair mask
     compact = ((keys[inside, None] >> bits & 1) << np.arange(nbits)).sum(axis=1)
-    rows, column = np.unique(compact >> k, return_inverse=True)
-    low = np.zeros((1 << k, rows.size))
-    low[compact & (1 << k) - 1, column] = np.fromiter(cells.values(), float, len(cells))[inside]
+    rows, low = _clique_columns(compact, values[inside], k)
     _passes(low, range(k), np.add, rows.size)
 
     law = np.zeros(1 << nbits)
-    law.reshape(-1, 1 << k)[rows] = low.T
-    _passes(law, range(k, nbits), np.add)
-    np.subtract(law, total, out=law)
-    return law
+    _, natural, step, c = _row_tiles(law)
+    natural[rows] = low.T
+    for r in range(0, len(natural), step):
+        _passes(natural[r : r + step], range(k, c), np.add)
+    _passes(law, range(c, nbits), np.add)
+    if nbits == level_bits:
+        return law, float(law[-1])
+    return law, _full_cell(keys, values, level_bits)
 
 
-def _row_tiles(log_cumulative: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
-    """k = nbits // 2, the natural layout as rows of 2^k cells (one row per
-    high part), and a scratch buffer for the low-bit work on one row tile:
-    about ``_TILE_CELLS`` cells, at least one row and at most all of them."""
+def _clique_columns(keys: np.ndarray, values: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The cells ``keys`` -> ``values`` of a cube seen as rows of 2^k cells,
+    on one column per row that holds a cell, low bits on axis 0: the rows, in
+    ascending order, and the (2^k, rows) array, 0.0 elsewhere."""
     import numpy as np
 
-    k = (log_cumulative.size.bit_length() - 1) // 2
-    rows = log_cumulative.reshape(-1, 1 << k)
-    return k, rows, np.empty(max(1, min(_TILE_CELLS >> k, len(rows))) << k)
+    rows, column = np.unique(keys >> k, return_inverse=True)
+    low = np.zeros((1 << k, rows.size))
+    low[keys & (1 << k) - 1, column] = values
+    return rows, low
 
 
-def _moebius_law(log_cumulative: np.ndarray) -> np.ndarray:
-    """P(graph = e) for every cell, from ``_log_cumulative_law``, overwriting it.
+def _full_cell(keys: np.ndarray, values: np.ndarray, nbits: int) -> float:
+    """The last cell of the zeta transform of the cube of 2^nbits cells that
+    holds ``values`` at ``keys`` and 0.0 elsewhere.
 
-    A pass at bit position p streams runs of 2^p cells, and NumPy's per-run
-    overhead dominates on short ones.  So the rows are swept one cache-sized
-    tile at a time: each tile is copied transposed into the buffer, low bits
-    on axis 0, where it takes the exp and the passes over the low k bits in
-    runs of at least one cell per tile row, and is copied back.  The high
-    bits follow in the natural layout.  Every cell still sees its operations
-    in bit order 0 .. nbits - 1.
+    After pass p only the cells with bits 0 .. p set feed the last cell, and
+    each is the sum of its two halves at bit p, odd + even.  So the clique
+    cells, one column per row of 2^k cells (k = nbits // 2), are halved over
+    the low bits, and the row sums, placed on the 2^(nbits - k) rows, over the
+    high bits: the butterfly's own additions for that cell, in its order.
     """
     import numpy as np
 
-    k, rows, buf = _row_tiles(log_cumulative)
-    step = buf.size >> k
+    k = nbits // 2
+    rows, x = _clique_columns(keys, values, k)
+    while len(x) > 1:
+        x = x[1::2] + x[0::2]
+    sums = np.zeros(1 << nbits - k)
+    sums[rows] = x[0]
+    while sums.size > 1:
+        sums = sums[1::2] + sums[0::2]
+    return float(sums[0])
+
+
+def _row_tiles(law: np.ndarray) -> tuple[int, np.ndarray, int, int]:
+    """k = nbits // 2, the natural layout as rows of 2^k cells (one row per
+    high part), the rows per tile, about ``_TILE_CELLS`` cells, at least one
+    row and at most all of them, and c = k + the trailing zero bits of that
+    count.  Tiles start at multiples of it, and a pass over bit p pairs cells
+    only inside one aligned block of 2^(p + 1) cells, so the passes over bits
+    k .. c - 1 pair cells inside one tile."""
+    nbits = law.size.bit_length() - 1
+    k = nbits // 2
+    step = max(1, min(_TILE_CELLS >> k, law.size >> k))
+    return k, law.reshape(-1, 1 << k), step, k + (step & -step).bit_length() - 1
+
+
+def _moebius_law(transform: tuple[np.ndarray, float]) -> np.ndarray:
+    """P(graph = e) for every cell, from ``_log_cumulative_law``, overwriting T.
+
+    A pass at bit position p streams runs of 2^p cells, and NumPy's per-run
+    overhead dominates on short ones.  So the rows are swept one cache-sized
+    tile at a time: each tile is copied transposed into a buffer, low bits on
+    axis 0, as it takes the subtraction of T(full); there it takes the exp and
+    the passes over the low k bits in runs of at least one cell per tile row,
+    is copied back, and takes the passes over bits k .. c - 1 while it is in
+    cache.  Only the bits from c on sweep the whole array.  Every cell still
+    sees its operations in bit order 0 .. nbits - 1.
+    """
+    import numpy as np
+
+    law, total = transform
+    k, rows, step, c = _row_tiles(law)
+    buf = np.empty(step << k)
     for r in range(0, len(rows), step):
         natural = rows[r : r + step]
         tile = buf[: natural.size].reshape(1 << k, -1)
-        np.copyto(tile, natural.T)
+        np.subtract(natural.T, total, out=tile)
         np.exp(tile, out=tile)
         _passes(tile, range(k), np.subtract, len(natural))
         np.copyto(natural, tile.T)
-    _passes(log_cumulative, range(k, log_cumulative.size.bit_length() - 1), np.subtract)
-    return log_cumulative
+        _passes(natural, range(k, c), np.subtract)
+    _passes(law, range(c, law.size.bit_length() - 1), np.subtract)
+    return law
 
 
-def _moebius_cell(log_cumulative: np.ndarray) -> float:
+def _moebius_cell(transform: tuple[np.ndarray, float]) -> float:
     """P(graph = every edge of the cube), the last cell of ``_moebius_law``.
 
     The halving pass at bit p keeps the cells with bits 0 .. p set, and those
     are all that the last cell reads after pass p, so each subtraction is the
-    butterfly's own: 2^nbits cells of work.  The exp and the low k halvings run
-    on one row tile at a time, leaving one value per row, and the high
-    halvings run on those.
+    butterfly's own: 2^nbits cells of work.  The subtraction of T(full), the
+    exp and the low k halvings run on one row tile at a time, leaving one
+    value per row, and the high halvings run on those.
     """
     import numpy as np
 
-    k, rows, buf = _row_tiles(log_cumulative)
-    step = buf.size >> k
+    law, total = transform
+    k, rows, step, _ = _row_tiles(law)
+    buf = np.empty(step << k)
     x = np.empty(len(rows))
     for r in range(0, len(rows), step):
         natural = rows[r : r + step]
         tile = buf[: natural.size].reshape(natural.shape)
-        np.exp(natural, out=tile)
+        np.subtract(natural, total, out=tile)
+        np.exp(tile, out=tile)
         while tile.shape[1] > 1:
             tile = tile[:, 1::2] - tile[:, 0::2]
         x[r : r + step] = tile[:, 0]
@@ -365,7 +422,7 @@ def _moebius_cell(log_cumulative: np.ndarray) -> float:
 
 
 def _transform(
-    n: int, rates: list[float], edges: int, moebius: Callable[[np.ndarray], _T]
+    n: int, rates: list[float], edges: int, moebius: Callable[[tuple[np.ndarray, float]], _T]
 ) -> _T:
     """``moebius`` applied to the log cumulative law of the graphs inside
     ``edges``, with NumPy's ufunc buffer at ``_PASS_BUFSIZE`` for the passes
@@ -387,12 +444,14 @@ def graph_law(n: int, schedule: RateSchedule, *, cap: int | None = None) -> np.n
     cumulative law F(e) = P(graph <= e) = exp(T(e) - T(full)), where T is the
     subset-sum transform of clique rates over the edge lattice, then inverted
     by a Moebius pass.  The transform's low-bit passes run on the rows that
-    hold a clique only, the exp and the low-bit Moebius passes on one
-    cache-sized row tile at a time, and NumPy's ufunc buffer size is set for
-    the passes and restored afterwards; every cell is bit-identical to the
-    plain per-bit butterfly.  Cost O(2^C(n,2) * C(n,2)) time, and memory for
-    the returned array plus a tile of about 1 MiB (n = 7: a 16 MiB law in
-    about 40 ms).  Raises ValueError when the level's total rate overflows.
+    hold a clique only; the subtraction of T(full), the exp, the low-bit
+    Moebius passes and the high-bit passes of both transforms that fit in a
+    tile run on one cache-sized row tile at a time, and NumPy's ufunc buffer
+    size is set for the passes and restored afterwards; every cell is
+    bit-identical to the plain per-bit butterfly.  Cost O(2^C(n,2) * C(n,2))
+    time, and memory for the returned array plus a tile of about 1 MiB (n = 7:
+    a 16 MiB law in about 30 ms).  Raises ValueError when the level's total
+    rate overflows.
     """
     _law_cap(n, cap)
     rates, _ = _graph_rates(schedule, n)
@@ -406,11 +465,12 @@ def graph_prob(graph: Graph, schedule: RateSchedule, *, cap: int | None = None) 
     cliques.  Otherwise builds the cumulative law of the 2^|E(G)| graphs inside
     E(G), as ``graph_law`` does, and reads the one cell at E(G) by halving
     Moebius passes, which make the butterfly's own subtractions for that cell;
-    the exp and the low-bit halvings run one row tile at a time, so the
-    cumulative law is the only array of its size (K7: 16 MiB, about 18 ms).  It
-    returns the same float as ``graph_law(n)[mask of G]``, and the level cap
-    of ``graph_law`` applies.  Raises ValueError when the level's total rate
-    overflows.
+    the subtraction of T(full), the exp and the low-bit halvings run one row
+    tile at a time, so the cumulative law is the only array of its size (K7:
+    16 MiB, about 13 ms; K6 plus a pendant edge at n = 7: 512 KiB, about
+    0.6 ms).  It returns the same float as ``graph_law(n)[mask of G]``, and the
+    level cap of ``graph_law`` applies.  Raises ValueError when the level's
+    total rate overflows.
     """
     cliques = clique_set(graph)
     rates, total_rate = _graph_rates(schedule, graph.n)

@@ -502,6 +502,26 @@ def test_negative_level_exits_2(command, n, capsys):
     assert "argument --n: must be an integer >= 0" in captured.err
 
 
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("check-consistency", "--tol"),
+        ("check-exchangeability", "--tol"),
+        ("schedule check", "--tol"),
+        ("mc-vs-exact", "--se-factor"),
+    ],
+)
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+def test_non_finite_or_negative_threshold_exits_2(command, flag, value, capsys):
+    argv = command.split() + BASE_ARGV[command] + [flag, value]
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {flag}: must be a finite number >= 0, got '{value}'" in captured.err
+
+
 @pytest.mark.parametrize("n", ["0", "1"])
 def test_check_consistency_without_a_lower_level_exits_2(n, capsys):
     argv = ["check-consistency"] + BASE_ARGV["check-consistency"]

@@ -1,4 +1,5 @@
 import decimal
+import gc
 import itertools
 import math
 import random
@@ -216,6 +217,37 @@ def test_cover_enumeration_cap():
     with pytest.raises(ResourceCapError):
         enumerate_monotone_covers(complete_graph(6))
     assert len(clique_set(complete_graph(6))) == 57
+
+
+def test_clique_walks_retain_no_memory():
+    # a recursive walk that closes over itself is a reference cycle, and with
+    # the cyclic collector off it would keep each call's memo (about 120 KB per
+    # graph_prob call on this 23-clique graph) alive
+    graph = Graph.from_edges(
+        7,
+        [(1, 2), (1, 6), (2, 4), (2, 7), (3, 4), (3, 5), (3, 6)]
+        + [(4, 5), (4, 6), (4, 7), (5, 6), (5, 7), (6, 7)],
+    )
+    assert len(clique_set(graph)) == 23
+    schedule = GeometricSchedule(alpha=0.5)
+    calls = {
+        "graph_prob": lambda: graph_prob(graph, schedule),
+        "cluster_prob": lambda: cluster_prob(mask_of([4, 5, 6], 7), graph, schedule),
+        "enumerate_monotone_covers": lambda: enumerate_monotone_covers(graph),
+    }
+    for name, call in calls.items():
+        call()  # fills the lattice caches
+        gc.disable()
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            for _ in range(5):
+                call()
+            after, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        assert after - before <= 16_384, f"{name}: 5 calls retain {after - before} bytes"
 
 
 # ---------------------------------------------------------------------------
@@ -765,11 +797,16 @@ def subcube_cells(edges, nbits):
 
 # the default tile covers a whole level at n <= 6, so smaller ones put tile
 # boundaries there: one cell (one row per tile), one row of the level's own
-# 2^(nbits // 2) cells, and a third of the level (an uneven last tile)
+# 2^(nbits // 2) cells, a third of the level (an uneven last tile), and two
+# powers of two that split the high bits between passes inside each tile and
+# passes over the whole array: two rows (one high bit inside) and a quarter of
+# the level (all but the top two inside)
 TILE_CELLS = {
     "one cell": lambda nbits: 1,
     "one row": lambda nbits: 1 << nbits // 2,
     "uneven": lambda nbits: (1 << nbits) // 3,
+    "two rows": lambda nbits: 2 << nbits // 2,
+    "quarter": lambda nbits: (1 << nbits) // 4,
 }
 
 
