@@ -21,7 +21,7 @@ import json
 import math
 import os
 import sys
-from typing import Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from . import __version__
 from .inference import (
@@ -54,11 +54,48 @@ from .serialization import (
     sample_to_dict,
 )
 
-MC_SE_FACTOR = 4.0
-MC_CELL_ATOL = 1e-12
+if TYPE_CHECKING:
+    import numpy as np
+
+# family-wise false-alarm rate of mc-vs-exact on the true law
+MC_ALPHA = 1e-3
 MC_TABLE_LIMIT = 1 << 10
 # draws counted per block, so memory does not grow with --draws
 MC_CHUNK_DRAWS = 1 << 16
+
+
+def _bernoulli_kl(f: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """KL(Bernoulli(f) || Bernoulli(p)) per cell, with 0 log 0 = 0: infinite
+    where f gives an outcome mass that p does not (p <= 0 < f or f < 1 <= p)."""
+    import numpy as np
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        hit = np.where(p > 0, f * np.log(f / p), np.inf)
+        miss = np.where(p < 1, (1 - f) * np.log((1 - f) / (1 - p)), np.inf)
+    return np.where(f > 0, hit, 0.0) + np.where(f < 1, miss, 0.0)
+
+
+def _count_bounds(p: np.ndarray, draws: int, limit: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per cell, the least and the greatest count c in [0, draws] with
+    KL(c / draws || p) <= ``limit``, by bisection on either side of the count
+    of least KL, next to p * draws, where KL is monotone.  That count passes
+    whenever any count does, as the Chernoff bound behind ``limit`` implies."""
+    import numpy as np
+
+    below = np.minimum(np.maximum(np.floor(p * draws), 0), draws)
+    above = np.minimum(below + 1, draws)
+    closer = _bernoulli_kl(above / draws, p) < _bernoulli_kl(below / draws, p)
+    nearest = np.where(closer, above, below).astype(np.int64)
+    bounds = []
+    for outside in (-1, draws + 1):
+        fails, passes = np.full_like(nearest, outside), nearest
+        while (open_ := abs(passes - fails) > 1).any():
+            mid = (fails + passes) // 2
+            failed = _bernoulli_kl(mid / draws, p) > limit
+            fails = np.where(open_ & failed, mid, fails)
+            passes = np.where(open_ & ~failed, mid, passes)
+        bounds.append(passes)
+    return bounds[0], bounds[1]
 
 
 def mc_vs_exact(
@@ -68,10 +105,15 @@ def mc_vs_exact(
     seed: int,
     *,
     exact_schedule: RateSchedule | None = None,
-    se_factor: float = MC_SE_FACTOR,
+    alpha: float = MC_ALPHA,
     cap: int | None = None,
 ) -> dict:
-    """Empirical graph frequencies vs the exact law; flags cells beyond se_factor SEs.
+    """Empirical graph frequencies vs the exact law, flagging a cell g when
+    draws * KL(freq_g || p_g) > log(2 * cells / alpha), KL the Bernoulli
+    divergence.  By the Chernoff bound on either side of p_g and a union over
+    the cells, the true law is flagged with probability at most ``alpha``, at
+    every draw count.  Each listed cell carries its bound [low, high]: the
+    least and the greatest frequency count / draws that pass.
 
     ``exact_schedule`` lets a deliberately mismatched law be used on the exact
     side as a negative control; by default the sampling schedule is used.
@@ -80,34 +122,33 @@ def mc_vs_exact(
 
     if draws <= 0:
         raise ValueError("draws must be positive")
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
     law = graph_law(n, exact_schedule if exact_schedule is not None else schedule, cap=cap)
     counts = np.zeros(law.size, dtype=np.int64)
     for masks in _graph_batches(schedule, n, draws, seed, MC_CHUNK_DRAWS):
         counts += np.bincount(masks, minlength=law.size)
     freq = counts.astype(float) / draws
-    exact = np.clip(law, 0.0, 1.0)
-    se = np.sqrt(exact * (1.0 - exact) / draws)
-    deviation = np.abs(freq - exact)
-    threshold = se_factor * se + MC_CELL_ATOL
-    flagged = deviation > threshold
-    cells = []
-    for g in range(law.size):
-        if law.size <= MC_TABLE_LIMIT or flagged[g]:
-            cells.append(
-                {
-                    "edge_mask": g,
-                    "exact": float(exact[g]),
-                    "empirical": float(freq[g]),
-                    "se": float(se[g]),
-                    "pass": not bool(flagged[g]),
-                }
-            )
+    limit = math.log(2 * law.size / alpha) / draws
+    flagged = _bernoulli_kl(freq, law) > limit
+    listed = np.flatnonzero(flagged) if law.size > MC_TABLE_LIMIT else np.arange(law.size)
+    low, high = _count_bounds(law[listed], draws, limit)
+    cells = [
+        {
+            "edge_mask": int(g),
+            "exact": float(law[g]),
+            "empirical": float(freq[g]),
+            "bound": [int(lo) / draws, int(hi) / draws],
+            "pass": not bool(flagged[g]),
+        }
+        for g, lo, hi in zip(listed, low, high)
+    ]
     return {
         "n": n,
         "draws": draws,
-        "se_factor": se_factor,
+        "alpha": alpha,
         "flagged_cells": int(flagged.sum()),
-        "max_deviation": float(deviation.max()),
+        "max_deviation": float(np.abs(freq - law).max()),
         "cells": cells,
     }
 
@@ -219,11 +260,11 @@ def _mc_vs_exact(args, cap):
     exact = schedule_from_dict(exact_doc) if "exact_schedule" in args else None
     results = mc_vs_exact(
         schedule, args.n, args.draws, args.seed,
-        exact_schedule=exact, se_factor=args.se_factor, cap=cap,
+        exact_schedule=exact, alpha=args.alpha, cap=cap,
     )
     flagged = results["flagged_cells"]
     inputs = {"n": args.n, "draws": args.draws, "exact_schedule": exact_doc}
-    return inputs, results, _check("graph_cells_within_se", flagged, 0, flagged == 0)
+    return inputs, results, _check("graph_cells_within_bound", flagged, 0, flagged == 0)
 
 
 # ---------------------------------------------------------------------------
@@ -253,6 +294,15 @@ def _nonnegative(text: str) -> float:
     except ValueError:
         pass
     raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
+
+
+def _unit_open(text: str) -> float:
+    try:
+        if 0.0 < float(text) < 1.0:
+            return float(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be a number in (0, 1), got {text!r}")
 
 
 class Command(NamedTuple):
@@ -349,7 +399,7 @@ COMMANDS = {
             _flag("--draws", type=int, required=True),
             SEED,
             _flag("--exact-schedule", help="use this schedule's exact law (negative control)"),
-            _flag("--se-factor", type=_nonnegative, default=MC_SE_FACTOR),
+            _flag("--alpha", type=_unit_open, default=MC_ALPHA, help="family-wise false-alarm rate"),
         ),
         _mc_vs_exact,
     ),

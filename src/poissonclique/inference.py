@@ -28,7 +28,12 @@ complements.  Two computation paths are used:
   of a graph short of complete comes from halvings of the clique cells, and
   reads its one cell by halving passes, the low ones on the same row tiles.
   The passes run with NumPy's ufunc buffer at 1024 elements, restored
-  afterwards, so runs of 1024-2048 cells are not copied through it.  Each
+  afterwards, so runs of 1024-2048 cells are not copied through it.  Row
+  tiles are independent, so threads take them one at a time, and the
+  whole-array passes hand out tile-sized runs of columns to the same threads:
+  one per CPU the process may run on, but at most one per 8 tiles (2 at
+  n = 7, none beyond the caller at n <= 6), started and joined within the
+  call.  Each
   cell still sees the same float operations, in the same order, as the plain
   per-bit butterfly.
 
@@ -74,6 +79,8 @@ from .schedules import RateSchedule
 
 if TYPE_CHECKING:
     import numpy as np
+
+    from ._crew import Crew
 
 _T = TypeVar("_T")
 
@@ -260,11 +267,32 @@ def _passes(x: np.ndarray, positions: range, op: np.ufunc, width: int = 1) -> No
         op(view[:, 1, :], view[:, 0, :], out=view[:, 1, :])
 
 
-def _log_cumulative_law(n: int, rates: list[float], edges: int) -> tuple[np.ndarray, float]:
-    """The pair (T, T(full)) whose difference is log F(e) = T(e) - T(full) for
-    every graph e on [n] whose edges lie inside ``edges``, where F(e) =
-    P(graph <= e); index bit i of T carries the i-th set bit of ``edges``.  The
-    consumer subtracts and takes the exp, one row tile at a time.
+def _whole_passes(crew: Crew, x: np.ndarray, positions: range, op: np.ufunc) -> None:
+    """``_passes(x, positions, op)`` over the top bits c .. nbits - 1.  Seen
+    as rows of 2^c cells, every such pass pairs two rows column by column, so
+    the crew's threads take disjoint runs of columns, each through every pass
+    in order, with no join between passes; a run is about a tile's cells."""
+    if not positions:
+        return
+    columns = x.reshape(-1, 1 << positions.start)
+
+    def part(lo: int, hi: int) -> None:
+        block = columns[:, lo:hi]
+        for q in range(len(positions)):
+            view = block.reshape(-1, 2, 1 << q, hi - lo)
+            op(view[:, 1], view[:, 0], out=view[:, 1])
+
+    crew.run(columns.shape[1], part, max(1, _TILE_CELLS >> len(positions)))
+
+
+def _log_cumulative_law(
+    n: int, rates: list[float], edges: int, crew: Crew
+) -> tuple[np.ndarray, float, Crew]:
+    """The triple (T, T(full), ``crew``), where T - T(full) is log F(e) =
+    T(e) - T(full) for every graph e on [n] whose edges lie inside ``edges``,
+    F(e) = P(graph <= e); index bit i of T carries the i-th set bit of
+    ``edges``.  The consumer subtracts and takes the exp, one row tile at a
+    time, on the same crew.
 
     A zeta pass over an edge bit outside ``edges`` never writes a cell inside
     it, and one over a bit inside reads only cells inside, so these cells of
@@ -282,10 +310,11 @@ def _log_cumulative_law(n: int, rates: list[float], edges: int) -> tuple[np.ndar
     butterfly leaves it.  The cliques inside ``edges``, their compacted keys
     and their columns come from array arithmetic on the pair masks, and one
     fancy assignment places the rates.  The passes over bits k .. c - 1 then
-    run on one row tile at a time (see ``_row_tiles``), and only the bits from
-    c on sweep the whole array: 4 of 21 at n = 7, none at n <= 6.  Bits are
-    processed in order 0 .. nbits - 1, so every cell is bit-identical to the
-    plain per-bit butterfly.
+    run on one row tile at a time, each tile on one of the crew's threads
+    (see ``_row_tiles``), and only the bits from c on sweep the whole array,
+    split by columns between the threads: 4 of 21 at n = 7, none at
+    n <= 6.  Bits are processed in order 0 .. nbits - 1, so every cell is
+    bit-identical to the plain per-bit butterfly.
     """
     import numpy as np
 
@@ -293,7 +322,7 @@ def _log_cumulative_law(n: int, rates: list[float], edges: int) -> tuple[np.ndar
     level_bits = n * (n - 1) // 2
     bits = np.flatnonzero(edges >> np.arange(level_bits) & 1)
     nbits = bits.size
-    k = nbits // 2
+    k, step, c = _row_tiles(nbits)
     # 0.0 + rate is the dense scatter's own addition (it turns -0.0 into 0.0)
     cells = {pmt[a]: 0.0 + rates[a.bit_count()] for a in all_masks(n) if a.bit_count() >= 2}
     keys = np.fromiter(cells, np.int64, len(cells))
@@ -306,16 +335,18 @@ def _log_cumulative_law(n: int, rates: list[float], edges: int) -> tuple[np.ndar
     _passes(low, range(k), np.add, rows.size)
 
     law = np.zeros(1 << nbits)
-    _, natural, step, c = _row_tiles(law)
+    natural = law.reshape(-1, 1 << k)
     natural[rows] = low.T
-    for r in range(0, len(natural), step):
-        _passes(natural[r : r + step], range(k, c), np.add)
-    _passes(law, range(c, nbits), np.add)
+
+    def tiles(lo: int, hi: int) -> None:
+        for r in range(lo, hi, step):
+            _passes(natural[r : r + step], range(k, c), np.add)
+
+    crew.run(len(natural), tiles, step)
+    _whole_passes(crew, law, range(c, nbits), np.add)
     if nbits == level_bits:
-        return law, float(law[-1])
-    return law, _full_cell(keys, values, level_bits)
-
-
+        return law, float(law[-1]), crew
+    return law, _full_cell(keys, values, level_bits), crew
 def _clique_columns(keys: np.ndarray, values: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """The cells ``keys`` -> ``values`` of a cube seen as rows of 2^k cells,
     on one column per row that holds a cell, low bits on axis 0: the rows, in
@@ -351,88 +382,119 @@ def _full_cell(keys: np.ndarray, values: np.ndarray, nbits: int) -> float:
     return float(sums[0])
 
 
-def _row_tiles(law: np.ndarray) -> tuple[int, np.ndarray, int, int]:
-    """k = nbits // 2, the natural layout as rows of 2^k cells (one row per
-    high part), the rows per tile, about ``_TILE_CELLS`` cells, at least one
-    row and at most all of them, and c = k + the trailing zero bits of that
-    count.  Tiles start at multiples of it, and a pass over bit p pairs cells
-    only inside one aligned block of 2^(p + 1) cells, so the passes over bits
-    k .. c - 1 pair cells inside one tile."""
-    nbits = law.size.bit_length() - 1
+def _row_tiles(nbits: int) -> tuple[int, int, int]:
+    """k = nbits // 2; the rows of 2^k cells (one row per high part) per tile,
+    about ``_TILE_CELLS`` cells, at least one row and at most all of them; and
+    c = k + the trailing zero bits of that count.  Tiles start at multiples of
+    it, and a pass over bit p pairs cells only inside one aligned block of
+    2^(p + 1) cells, so the passes over bits k .. c - 1 pair cells inside one
+    tile, and different threads can take different tiles.
+
+    The tiles go to the threads of a ``Crew`` of ``_workers(nbits)``: the
+    CPUs this process may run on but at most one per 8 tiles, so that the
+    threads' tile buffers together stay within 1/8 of the cube: 2 at n = 7
+    (16 tiles), 1 at n <= 6 (one tile), the CPU count at n = 8 (2048 tiles).
+    """
     k = nbits // 2
-    step = max(1, min(_TILE_CELLS >> k, law.size >> k))
-    return k, law.reshape(-1, 1 << k), step, k + (step & -step).bit_length() - 1
+    step = max(1, min(_TILE_CELLS >> k, 1 << nbits - k))
+    return k, step, k + (step & -step).bit_length() - 1
 
 
-def _moebius_law(transform: tuple[np.ndarray, float]) -> np.ndarray:
+def _workers(nbits: int) -> int:
+    """The threads that share the row tiles of a cube of 2^nbits cells (see
+    ``_row_tiles``)."""
+    from ._crew import cpus
+
+    k, step, _ = _row_tiles(nbits)
+    return max(1, min(cpus(), (1 << nbits - k) // step // 8))
+
+
+def _moebius_law(transform: tuple[np.ndarray, float, Crew]) -> np.ndarray:
     """P(graph = e) for every cell, from ``_log_cumulative_law``, overwriting T.
 
     A pass at bit position p streams runs of 2^p cells, and NumPy's per-run
     overhead dominates on short ones.  So the rows are swept one cache-sized
-    tile at a time: each tile is copied transposed into a buffer, low bits on
-    axis 0, as it takes the subtraction of T(full); there it takes the exp and
-    the passes over the low k bits in runs of at least one cell per tile row,
-    is copied back, and takes the passes over bits k .. c - 1 while it is in
-    cache.  Only the bits from c on sweep the whole array.  Every cell still
-    sees its operations in bit order 0 .. nbits - 1.
+    tile at a time, each tile on one of the crew's threads, in a buffer of
+    that thread's own: each tile is copied transposed into the buffer, low bits
+    on axis 0, as it takes the subtraction of T(full); there it takes the exp
+    and the passes over the low k bits in runs of at least one cell per tile
+    row, is copied back, and takes the passes over bits k .. c - 1 while it is
+    in cache.  Only the bits from c on sweep the whole array.  Every cell
+    still sees its operations in bit order 0 .. nbits - 1.
     """
     import numpy as np
 
-    law, total = transform
-    k, rows, step, c = _row_tiles(law)
-    buf = np.empty(step << k)
-    for r in range(0, len(rows), step):
-        natural = rows[r : r + step]
-        tile = buf[: natural.size].reshape(1 << k, -1)
-        np.subtract(natural.T, total, out=tile)
-        np.exp(tile, out=tile)
-        _passes(tile, range(k), np.subtract, len(natural))
-        np.copyto(natural, tile.T)
-        _passes(natural, range(k, c), np.subtract)
-    _passes(law, range(c, law.size.bit_length() - 1), np.subtract)
+    law, total, crew = transform
+    nbits = law.size.bit_length() - 1
+    k, step, c = _row_tiles(nbits)
+    rows = law.reshape(-1, 1 << k)
+
+    def tiles(lo: int, hi: int) -> None:
+        buf = np.empty(step << k)
+        for r in range(lo, hi, step):
+            natural = rows[r : r + step]
+            tile = buf[: natural.size].reshape(1 << k, -1)
+            np.subtract(natural.T, total, out=tile)
+            np.exp(tile, out=tile)
+            _passes(tile, range(k), np.subtract, len(natural))
+            np.copyto(natural, tile.T)
+            _passes(natural, range(k, c), np.subtract)
+
+    crew.run(len(rows), tiles, step)
+    _whole_passes(crew, law, range(c, nbits), np.subtract)
     return law
 
 
-def _moebius_cell(transform: tuple[np.ndarray, float]) -> float:
+def _moebius_cell(transform: tuple[np.ndarray, float, Crew]) -> float:
     """P(graph = every edge of the cube), the last cell of ``_moebius_law``.
 
     The halving pass at bit p keeps the cells with bits 0 .. p set, and those
     are all that the last cell reads after pass p, so each subtraction is the
     butterfly's own: 2^nbits cells of work.  The subtraction of T(full), the
-    exp and the low k halvings run on one row tile at a time, leaving one
-    value per row, and the high halvings run on those.
+    exp and the low k halvings run on one row tile at a time, each tile on
+    one of the crew's threads, leaving one value per row, and the high
+    halvings run on those.
     """
     import numpy as np
 
-    law, total = transform
-    k, rows, step, _ = _row_tiles(law)
-    buf = np.empty(step << k)
+    law, total, crew = transform
+    k, step, _ = _row_tiles(law.size.bit_length() - 1)
+    rows = law.reshape(-1, 1 << k)
     x = np.empty(len(rows))
-    for r in range(0, len(rows), step):
-        natural = rows[r : r + step]
-        tile = buf[: natural.size].reshape(natural.shape)
-        np.subtract(natural, total, out=tile)
-        np.exp(tile, out=tile)
-        while tile.shape[1] > 1:
-            tile = tile[:, 1::2] - tile[:, 0::2]
-        x[r : r + step] = tile[:, 0]
+
+    def tiles(lo: int, hi: int) -> None:
+        buf = np.empty(step << k)
+        for r in range(lo, hi, step):
+            natural = rows[r : r + step]
+            tile = buf[: natural.size].reshape(natural.shape)
+            np.subtract(natural, total, out=tile)
+            np.exp(tile, out=tile)
+            while tile.shape[1] > 1:
+                tile = tile[:, 1::2] - tile[:, 0::2]
+            x[r : r + step] = tile[:, 0]
+
+    crew.run(len(rows), tiles, step)
     while x.size > 1:
         x = x[1::2] - x[0::2]
     return float(x[0])
 
 
 def _transform(
-    n: int, rates: list[float], edges: int, moebius: Callable[[tuple[np.ndarray, float]], _T]
+    n: int, rates: list[float], edges: int, moebius: Callable[[tuple[np.ndarray, float, Crew]], _T]
 ) -> _T:
     """``moebius`` applied to the log cumulative law of the graphs inside
     ``edges``, with NumPy's ufunc buffer at ``_PASS_BUFSIZE`` for the passes
-    and restored afterwards."""
+    and restored afterwards, and the row tiles shared by one crew of
+    ``_workers`` threads, joined before this returns."""
     import numpy as np
+
+    from ._crew import Crew
 
     bufsize = np.getbufsize()
     np.setbufsize(_PASS_BUFSIZE)
     try:
-        return moebius(_log_cumulative_law(n, rates, edges))
+        with Crew(_workers(edges.bit_count())) as crew:
+            return moebius(_log_cumulative_law(n, rates, edges, crew))
     finally:
         np.setbufsize(bufsize)
 
@@ -447,11 +509,15 @@ def graph_law(n: int, schedule: RateSchedule, *, cap: int | None = None) -> np.n
     hold a clique only; the subtraction of T(full), the exp, the low-bit
     Moebius passes and the high-bit passes of both transforms that fit in a
     tile run on one cache-sized row tile at a time, and NumPy's ufunc buffer
-    size is set for the passes and restored afterwards; every cell is
-    bit-identical to the plain per-bit butterfly.  Cost O(2^C(n,2) * C(n,2))
-    time, and memory for the returned array plus a tile of about 1 MiB (n = 7:
-    a 16 MiB law in about 30 ms).  Raises ValueError when the level's total
-    rate overflows.
+    size is set for the passes and restored afterwards.  The tiles and the
+    whole-array passes are shared between threads, one per CPU the process
+    may run on but at most one per 8 tiles, so 2 at n = 7 and only the caller
+    at n <= 6, and only the caller while the CPUs are busy with other work
+    (see ``_crew.Crew``); every cell is bit-identical to the plain per-bit
+    butterfly, whatever the thread count.  Cost O(2^C(n,2) * C(n,2)) time, and memory
+    for the returned array plus a 1 MiB tile per thread, at most 1/8 of the
+    level (n = 7: a 16 MiB law in about 20 ms on two CPUs, 30 ms on one).
+    Raises ValueError when the level's total rate overflows.
     """
     _law_cap(n, cap)
     rates, _ = _graph_rates(schedule, n)
@@ -466,11 +532,12 @@ def graph_prob(graph: Graph, schedule: RateSchedule, *, cap: int | None = None) 
     E(G), as ``graph_law`` does, and reads the one cell at E(G) by halving
     Moebius passes, which make the butterfly's own subtractions for that cell;
     the subtraction of T(full), the exp and the low-bit halvings run one row
-    tile at a time, so the cumulative law is the only array of its size (K7:
-    16 MiB, about 13 ms; K6 plus a pendant edge at n = 7: 512 KiB, about
-    0.6 ms).  It returns the same float as ``graph_law(n)[mask of G]``, and the
-    level cap of ``graph_law`` applies.  Raises ValueError when the level's
-    total rate overflows.
+    tile at a time, the tiles shared between threads as in ``graph_law``, so
+    the cumulative law is the only array of its size (K7: 16 MiB, about 9 ms
+    on two CPUs, 13 ms on one; K6 plus a pendant edge at n = 7: 512 KiB, one
+    tile, about 0.6 ms).  It returns the same float as
+    ``graph_law(n)[mask of G]``, and the level cap of ``graph_law`` applies.
+    Raises ValueError when the level's total rate overflows.
     """
     cliques = clique_set(graph)
     rates, total_rate = _graph_rates(schedule, graph.n)

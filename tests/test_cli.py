@@ -183,6 +183,80 @@ def test_mc_vs_exact_pass_and_fail(capsys):
     assert doc["results"]["flagged_cells"] > 0
 
 
+@pytest.mark.parametrize("seed", range(10))
+def test_mc_vs_exact_passes_the_true_law_at_n5(seed, capsys):
+    code, doc = run_json(
+        ["mc-vs-exact", "--schedule", GEOM_HALF, "--n", "5", "--draws", "100000", "--seed", str(seed)],
+        capsys,
+    )
+    assert (code, doc["results"]["flagged_cells"]) == (0, 0)
+
+
+@pytest.mark.parametrize(
+    "exact",
+    [
+        '{"kind":"geometric","alpha":0.48,"c":1}',
+        '{"kind":"geometric","alpha":0.5,"c":1.05}',
+        '{"kind":"beta_uniform","c":1}',
+    ],
+)
+def test_mc_vs_exact_flags_near_laws_at_n5(exact, capsys):
+    argv = ["mc-vs-exact", "--schedule", GEOM_HALF, "--n", "5", "--draws", "100000", "--seed", "3"]
+    code, doc = run_json(argv + ["--exact-schedule", exact], capsys)
+    assert code == 1
+    assert doc["results"]["flagged_cells"] > 0
+
+
+def test_mc_vs_exact_cells_pass_inside_their_bound(capsys):
+    # a law with zero cells: every sampled graph but K3 and the empty one is
+    # impossible under it, so its bound is [0, 0] and a single hit fails
+    triangles_only = '{"kind":"table","n":3,"rows":{"3":[0,0,0,1]}}'
+    argv = ["mc-vs-exact", "--schedule", GEOM_HALF, "--n", "3", "--draws", "5000", "--seed", "4"]
+    for extra, exit_code in (([], 0), (["--exact-schedule", triangles_only], 1)):
+        code, doc = run_json(argv + extra, capsys)
+        assert code == exit_code
+        results = doc["results"]
+        for cell in results["cells"]:
+            low, high = cell["bound"]
+            assert 0.0 <= low <= high <= 1.0
+            assert cell["pass"] == (low <= cell["empirical"] <= high)
+            if cell["exact"] == 0.0:
+                assert (low, high) == (0.0, 0.0)
+        assert results["flagged_cells"] == sum(not cell["pass"] for cell in results["cells"])
+
+
+def bernoulli_kl(f, p):
+    terms = [(f, p), (1 - f, 1 - p)]
+    if any(a > 0 and b <= 0 for a, b in terms):
+        return math.inf
+    return sum(a * math.log(a / b) for a, b in terms if a > 0)
+
+
+def test_mc_count_bounds_match_a_scan_of_every_count():
+    import numpy as np
+
+    from poissonclique.cli import _count_bounds
+
+    draws = 300
+    limit = math.log(2 * 64 / 1e-3) / draws
+    p = np.array([-1e-18, 0.0, 1e-9, 0.003, 0.2, 0.5, 0.97, 1 - 1e-12, 1.0])
+    low, high = _count_bounds(p, draws, limit)
+    for i, q in enumerate(p.tolist()):
+        passing = [c for c in range(draws + 1) if bernoulli_kl(c / draws, q) <= limit]
+        assert passing == list(range(low[i], high[i] + 1))
+
+
+@pytest.mark.parametrize("value", ["0", "1", "1.5", "-0.1", "nan", "inf", "x"])
+def test_mc_vs_exact_alpha_outside_the_unit_interval_exits_2(value, capsys):
+    argv = ["mc-vs-exact"] + BASE_ARGV["mc-vs-exact"] + ["--alpha", value]
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument --alpha: must be a number in (0, 1), got '{value}'" in captured.err
+
+
 def test_mc_vs_exact_counts_do_not_depend_on_the_block_size(monkeypatch):
     import numpy as np
 
@@ -433,6 +507,35 @@ def test_commands_without_arrays_never_import_numpy():
     assert completed.returncode == 0, completed.stderr
 
 
+SERIAL_KERNEL_SCRIPT = """
+import contextlib, io, sys, threading
+threads = threading.active_count()
+import poissonclique.cli as cli
+from poissonclique.inference import graph_law
+from poissonclique.schedules import GeometricSchedule
+
+graph_law(6, GeometricSchedule(alpha=0.5))
+assert threading.active_count() == threads, "graph_law(6) left a thread"
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["check-exchangeability", "--schedule", %r, "--n", "5"]) == 0
+assert threading.active_count() == threads, "check-exchangeability left a thread"
+loaded = {"concurrent.futures", "logging"} & set(sys.modules)
+assert not loaded, f"imported {sorted(loaded)}"
+""" % GEOM_HALF
+
+
+def test_start_up_and_levels_below_7_load_no_thread_machinery():
+    # a level of one row tile runs the plain serial loop: no thread, and no
+    # executor module (concurrent.futures imports logging)
+    package_root = str(Path(poissonclique.__file__).resolve().parent.parent)
+    inherited = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=package_root + (os.pathsep + inherited if inherited else ""))
+    completed = subprocess.run(
+        [sys.executable, "-c", SERIAL_KERNEL_SCRIPT], capture_output=True, text=True, env=env
+    )
+    assert completed.returncode == 0, completed.stderr
+
+
 # ---------------------------------------------------------------------------
 # Table-driven contracts
 # ---------------------------------------------------------------------------
@@ -508,7 +611,6 @@ def test_negative_level_exits_2(command, n, capsys):
         ("check-consistency", "--tol"),
         ("check-exchangeability", "--tol"),
         ("schedule check", "--tol"),
-        ("mc-vs-exact", "--se-factor"),
     ],
 )
 @pytest.mark.parametrize("value", ["nan", "inf", "-1"])

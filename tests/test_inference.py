@@ -3,13 +3,16 @@ import gc
 import itertools
 import math
 import random
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from poissonclique import inference
+from poissonclique import _crew, inference
 from poissonclique.inference import (
     CLIQUE_SUBSET_CAP,
     EXTENSION_MEMBERS_CAP,
@@ -883,6 +886,166 @@ def test_whole_level_kernels_hold_one_level_array():
         finally:
             tracemalloc.stop()
         assert peak <= bound * level_bytes, f"{name}: peak {peak / level_bytes:.2f} x the level"
+
+
+# detected CPU counts: one (the serial loop), two, three (shares of uneven
+# length) and 64, which the one-worker-per-8-tiles cap cuts down
+CPUS = (1, 2, 3, 64)
+
+
+def share_every_job(monkeypatch):
+    # crews share their jobs with workers however busy the host's CPUs are
+    monkeypatch.setattr(_crew, "_LEAST_CPUS", 0.0)
+    monkeypatch.setattr(_crew, "_alone_until", 0.0)
+
+
+def tiles_at(n, tile):
+    nbits = n * (n - 1) // 2
+    cells = inference._TILE_CELLS if tile is None else TILE_CELLS[tile](nbits)
+    return (1 << nbits) // max(1 << nbits // 2, cells)
+
+
+@pytest.mark.parametrize("cpus", CPUS)
+@pytest.mark.parametrize(
+    "n, tile",
+    [pytest.param(n, None, id=str(n)) for n in (6, 7)]
+    + [pytest.param(n, tile, id=f"{n}-tile {tile}") for n in (5, 6) for tile in TILE_CELLS],
+)
+@pytest.mark.parametrize("schedule", EXACT_LAW_SCHEDULES[:2], ids=repr)
+def test_kernel_bits_do_not_depend_on_the_worker_count(schedule, n, tile, cpus, monkeypatch):
+    monkeypatch.setattr(_crew, "cpus", lambda: cpus)
+    share_every_job(monkeypatch)
+    sizes = []
+
+    class Recorded(_crew.Crew):
+        def __enter__(self):
+            sizes.append(self.size)
+            return super().__enter__()
+
+    monkeypatch.setattr(_crew, "Crew", Recorded)
+    test_kernel_subcubes_equal_butterfly_oracle(schedule, n, tile, monkeypatch)
+    # the full cube has the most tiles; a sub-cube has at most as many
+    assert max(sizes) == max(1, min(cpus, tiles_at(n, tile) // 8))
+
+
+def test_worker_count_follows_the_cpus_and_the_tiles(monkeypatch):
+    for cpus in CPUS:
+        monkeypatch.setattr(_crew, "cpus", lambda: cpus)
+        assert [inference._workers(n * (n - 1) // 2) for n in range(1, 9)] == [1] * 6 + [
+            min(cpus, 2),
+            min(cpus, 256),
+        ]
+
+
+def test_kernel_workers_share_the_passes_and_their_errors(monkeypatch):
+    monkeypatch.setattr(_crew, "cpus", lambda: 2)
+    share_every_job(monkeypatch)
+    caller = threading.get_ident()
+    help = _crew._Job.help
+
+    def help_after_a_worker(job):
+        # a job's chunks go to whichever thread asks first; the caller waits
+        # until the worker holds one, so that both threads run every job
+        deadline = time.monotonic() + 10
+        while threading.get_ident() == caller and job.chunks > 1 and not job.claimed:
+            assert time.monotonic() < deadline, "the worker never claimed a chunk"
+            time.sleep(1e-4)
+        help(job)
+
+    monkeypatch.setattr(_crew._Job, "help", help_after_a_worker)
+    schedule = GeometricSchedule(alpha=0.5)
+    seen = []
+    passes = inference._passes
+
+    def recorded(*args, **kwargs):
+        seen.append((threading.get_ident(), np.getbufsize(), np.geterr()))
+        passes(*args, **kwargs)
+
+    monkeypatch.setattr(inference, "_passes", recorded)
+    threads = threading.active_count()
+    bufsize = np.getbufsize()
+    np.setbufsize(4096)
+    try:
+        with np.errstate(divide="raise", over="warn", under="ignore", invalid="raise"):
+            err = np.geterr()
+            graph_law(7, schedule)
+            graph_prob(complete_graph(7), schedule)
+            assert (np.getbufsize(), np.geterr(), threading.active_count()) == (4096, err, threads)
+            assert len({ident for ident, _, _ in seen}) > 1
+            assert {(size, str(state)) for _, size, state in seen} == {(inference._PASS_BUFSIZE, str(err))}
+
+            def failing(cumulative):
+                raise ArithmeticError("raised by the consumer")
+
+            with pytest.raises(ArithmeticError, match="consumer"):
+                inference._transform(7, level_rates(schedule, 7), (1 << 21) - 1, failing)
+            assert (np.getbufsize(), np.geterr(), threading.active_count()) == (4096, err, threads)
+
+            def failing_in_a_worker(*args, **kwargs):
+                if threading.get_ident() != caller:
+                    raise ArithmeticError("raised inside a worker")
+                passes(*args, **kwargs)
+
+            monkeypatch.setattr(inference, "_passes", failing_in_a_worker)
+            for call in (lambda: graph_law(7, schedule), lambda: graph_prob(complete_graph(7), schedule)):
+                with pytest.raises(ArithmeticError, match="worker"):
+                    call()
+                assert (np.getbufsize(), np.geterr(), threading.active_count()) == (4096, err, threads)
+    finally:
+        np.setbufsize(bufsize)
+
+
+def test_crew_runs_every_chunk_once_under_frequent_switches(monkeypatch):
+    # more threads than CPUs, and a switch interval that lets the interpreter
+    # change threads between any two bytecodes: a lost claim or a lost count
+    # of the chunks still pending shows as a chunk run twice or never
+    share_every_job(monkeypatch)
+    interval = sys.getswitchinterval()
+    threads = threading.active_count()
+    sys.setswitchinterval(1e-6)
+    try:
+        with _crew.Crew(8) as crew:
+            for count, unit in [(50, 1)] * 100 + [(2000, 7), (5, 3), (0, 1)]:
+                hits = [0] * count
+
+                def work(lo, hi):
+                    time.sleep(1e-5)  # the chunk ends after the others have moved on
+                    for i in range(lo, hi):
+                        hits[i] += 1
+
+                crew.run(count, work, unit)
+                assert hits == [1] * count
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.active_count() == threads
+
+
+def test_crew_starved_of_cpu_time_runs_alone(monkeypatch):
+    # threads whose CPU time stands still while the wall clock runs share
+    # their CPUs with other processes: after one shared job the call, and
+    # the calls of the next few seconds, run alone
+    monkeypatch.setattr(_crew, "cpus", lambda: 2)
+    schedule = GeometricSchedule(alpha=0.5)
+    shared = graph_law(7, schedule)
+    started = []
+    start = _crew.Crew._start
+    monkeypatch.setattr(_crew.Crew, "_start", lambda crew: started.append(crew) or start(crew))
+    monkeypatch.setattr(_crew, "_alone_until", 0.0)
+    with monkeypatch.context() as starved:
+        starved.setattr(_crew.time, "thread_time", lambda: 0.0)
+        assert_same_bits(graph_law(7, schedule), shared)
+    assert len(started) == 1
+    assert _crew._alone_until > time.monotonic()
+    assert graph_prob(complete_graph(7), schedule) == shared[-1]
+    assert len(started) == 1
+
+
+def test_whole_level_kernels_hold_one_level_array_under_many_cpus(monkeypatch):
+    # 64 CPUs are capped at 2 workers at n = 7, one 1 MiB tile buffer each
+    monkeypatch.setattr(_crew, "cpus", lambda: 64)
+    share_every_job(monkeypatch)
+    assert inference._workers(21) == 2
+    test_whole_level_kernels_hold_one_level_array()
 
 
 def clique_rich_graphs(n, rng, count):
