@@ -1,6 +1,6 @@
-"""Threads that share one job at a time, chunk by chunk.
+"""A helper thread that shares one job at a time with its caller, chunk by chunk.
 
-NumPy releases the GIL inside each ufunc, so threads that run ufuncs on
+NumPy releases the GIL inside each ufunc, so two threads that run ufuncs on
 disjoint blocks of an array run at the same time.  Nothing here knows what
 the blocks hold: the whole-level kernel in ``inference`` hands its row tiles
 to a ``Crew``.  The module is imported by the functions that build arrays, so
@@ -11,20 +11,7 @@ from __future__ import annotations
 
 import os
 import threading
-import time
 from typing import Callable
-
-# the CPUs that a shared job must keep busy on average (the CPU time of its
-# threads against its wall time, the workers' start included) for a crew to
-# keep sharing; two threads on free CPUs approach 2.  On a 2-vCPU VM whose
-# CPUs other guests were using, n = 7 jobs read 0.4-1.6 (median 0.9-1.4), and
-# sharing made calls 1.3-3x slower than running alone
-_LEAST_CPUS = 1.0
-# once a crew has found the CPUs busy, crews entered within this many seconds
-# run alone too: finding out costs a shared job, which can stall for 0.1 s
-_BUSY_S = 5.0
-# time.monotonic() before which new crews run alone
-_alone_until = 0.0
 
 
 def cpus() -> int:
@@ -44,7 +31,6 @@ class _Job:
         self.chunks = -(-count // unit)
         self.claimed = 0
         self.pending = self.chunks
-        self.cpu = 0.0
         self.errors: dict[int, BaseException] = {}
         self.lock = threading.Lock()
         self.done = threading.Event()
@@ -59,62 +45,41 @@ class _Job:
                 self.claimed += 1
             if i >= self.chunks:
                 return
-            cpu = time.thread_time()
             try:
                 self.work(i * self.unit, min(self.count, (i + 1) * self.unit))
             except BaseException as exc:  # re-raised by Crew.run, in the caller
                 self.errors[i] = exc
             with self.lock:
-                self.cpu += time.thread_time() - cpu
                 self.pending -= 1
                 if not self.pending:
                     self.done.set()
 
 
 class Crew:
-    """``size`` threads, the caller and ``size - 1`` workers, that run one job
-    at a time, each thread taking the job's next chunk until none is left.
+    """The caller and, if ``share``, one helper thread, running one job at a
+    time, each thread taking the job's next chunk until none is left.
 
-    The caller works on every job and waits only for chunks that another
-    thread has started, never for a worker to wake up.  A worker whose CPU is
-    taken by another process still holds up its chunk, and the interpreter
-    lock while it runs Python code, so once a shared job has kept less than
-    ``_LEAST_CPUS`` CPUs busy, the CPUs are in use beyond this process: the
-    caller runs the rest of the jobs alone, and so does every crew entered in
-    the next ``_BUSY_S`` seconds.  The workers start with the first job they
-    share and are joined on exit, so none outlives the ``with`` block; a crew
-    of one starts no thread.  NumPy keeps the ufunc buffer size and the
-    floating-point error state per thread (1.x) or per context (2.x), so each
-    worker takes the caller's when it starts.
+    The caller works on every job and waits only for a chunk that the helper
+    has started, never for the helper to wake up.  The helper starts with the
+    first job and is joined on exit, so none outlives the ``with`` block.
+    NumPy keeps the ufunc buffer size and the floating-point error state per
+    thread (1.x) or per context (2.x), so the helper takes the caller's when
+    it starts.
     """
 
-    def __init__(self, size: int) -> None:
-        self.size = size
-        self._threads: list[threading.Thread] = []
+    def __init__(self, share: bool) -> None:
+        self.share = share
+        self._helper: threading.Thread | None = None
 
     def __enter__(self) -> Crew:
-        self._job: _Job | None = None
-        self._closed = False
-        self._posted = threading.Condition()
-        self._alone = self.size == 1 or time.monotonic() < _alone_until
         return self
 
     def __exit__(self, *exc_info) -> None:
-        if self._threads:
+        if self._helper is not None:
             with self._posted:
                 self._closed = True
                 self._posted.notify_all()
-            for thread in self._threads:
-                thread.join()
-
-    def _start(self) -> None:
-        import numpy as np
-
-        state = np.getbufsize(), np.geterr()
-        for _ in range(self.size - 1):
-            thread = threading.Thread(target=self._serve, args=state)
-            thread.start()
-            self._threads.append(thread)
+            self._helper.join()
 
     def _serve(self, bufsize: int, err: dict) -> None:
         import numpy as np
@@ -136,21 +101,22 @@ class Crew:
         multiples of ``unit``, each chunk on one thread.  Returns once every
         chunk is done; an error in any chunk is then raised in the caller, the
         lowest chunk's."""
-        if self._alone:
+        if not self.share:
             work(0, count)
             return
-        begun = time.perf_counter()
-        if not self._threads:
-            self._start()
+        if self._helper is None:
+            import numpy as np
+
+            self._job: _Job | None = None
+            self._closed = False
+            self._posted = threading.Condition()
+            self._helper = threading.Thread(target=self._serve, args=(np.getbufsize(), np.geterr()))
+            self._helper.start()
         job = _Job(count, work, unit)
         with self._posted:
             self._job = job
             self._posted.notify_all()
         job.help()
         job.done.wait()
-        if job.cpu < _LEAST_CPUS * (time.perf_counter() - begun):
-            global _alone_until
-            _alone_until = time.monotonic() + _BUSY_S
-            self._alone = True
         if job.errors:
             raise job.errors[min(job.errors)]

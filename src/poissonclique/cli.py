@@ -111,9 +111,11 @@ def mc_vs_exact(
     """Empirical graph frequencies vs the exact law, flagging a cell g when
     draws * KL(freq_g || p_g) > log(2 * cells / alpha), KL the Bernoulli
     divergence.  By the Chernoff bound on either side of p_g and a union over
-    the cells, the true law is flagged with probability at most ``alpha``, at
-    every draw count.  Each listed cell carries its bound [low, high]: the
-    least and the greatest frequency count / draws that pass.
+    the cells, the exact law is flagged with probability at most ``alpha``, at
+    every draw count.  A cell that ``graph_law`` computes as <= 0 (a mass
+    below its rounding) is flagged by any draw that lands on it, whatever
+    ``alpha`` is.  Each listed cell carries its bound [low,
+    high]: the least and the greatest frequency count / draws that pass.
 
     ``exact_schedule`` lets a deliberately mismatched law be used on the exact
     side as a negative control; by default the sampling schedule is used.

@@ -29,13 +29,12 @@ complements.  Two computation paths are used:
   reads its one cell by halving passes, the low ones on the same row tiles.
   The passes run with NumPy's ufunc buffer at 1024 elements, restored
   afterwards, so runs of 1024-2048 cells are not copied through it.  Row
-  tiles are independent, so threads take them one at a time, and the
-  whole-array passes hand out tile-sized runs of columns to the same threads:
-  one per CPU the process may run on, but at most one per 8 tiles (2 at
-  n = 7, none beyond the caller at n <= 6), started and joined within the
-  call.  Each
-  cell still sees the same float operations, in the same order, as the plain
-  per-bit butterfly.
+  tiles are independent, so when the process may run on two CPUs and the
+  level has at least 16 tiles (n >= 7), the caller and one helper thread,
+  started and joined within the call, take them one at a time, and the
+  whole-array passes hand out tile-sized runs of columns to the same two
+  threads.  Each cell still sees the same float operations, in the same
+  order, as the plain per-bit butterfly.
 
 Subsets of cardinality <= 1 never affect the graph; they are marginalized out of
 every graph computation and cancel from every conditional ratio.
@@ -257,6 +256,10 @@ _PASS_BUFSIZE = 1024
 # sets which high passes run inside a tile (17 of 21 bits at n = 7).  Larger
 # tiles measured slower at n = 7.
 _TILE_CELLS = 1 << 17
+# Fewest columns in a run of the shared top passes (32 KiB per row): at n = 8
+# they span 2^11 rows, and runs of 64 columns (512 bytes per row) made them
+# twice as slow as one thread's whole-array passes, while 4096 made them faster.
+_RUN_COLUMNS = 1 << 12
 
 
 def _passes(x: np.ndarray, positions: range, op: np.ufunc, width: int = 1) -> None:
@@ -271,7 +274,8 @@ def _whole_passes(crew: Crew, x: np.ndarray, positions: range, op: np.ufunc) -> 
     """``_passes(x, positions, op)`` over the top bits c .. nbits - 1.  Seen
     as rows of 2^c cells, every such pass pairs two rows column by column, so
     the crew's threads take disjoint runs of columns, each through every pass
-    in order, with no join between passes; a run is about a tile's cells."""
+    in order, with no join between passes; a run is about a tile's cells,
+    but at least ``_RUN_COLUMNS`` columns."""
     if not positions:
         return
     columns = x.reshape(-1, 1 << positions.start)
@@ -282,7 +286,7 @@ def _whole_passes(crew: Crew, x: np.ndarray, positions: range, op: np.ufunc) -> 
             view = block.reshape(-1, 2, 1 << q, hi - lo)
             op(view[:, 1], view[:, 0], out=view[:, 1])
 
-    crew.run(columns.shape[1], part, max(1, _TILE_CELLS >> len(positions)))
+    crew.run(columns.shape[1], part, max(_RUN_COLUMNS, _TILE_CELLS >> len(positions)))
 
 
 def _log_cumulative_law(
@@ -390,23 +394,25 @@ def _row_tiles(nbits: int) -> tuple[int, int, int]:
     2^(p + 1) cells, so the passes over bits k .. c - 1 pair cells inside one
     tile, and different threads can take different tiles.
 
-    The tiles go to the threads of a ``Crew`` of ``_workers(nbits)``: the
-    CPUs this process may run on but at most one per 8 tiles, so that the
-    threads' tile buffers together stay within 1/8 of the cube: 2 at n = 7
-    (16 tiles), 1 at n <= 6 (one tile), the CPU count at n = 8 (2048 tiles).
+    A helper thread shares the tiles (see ``_shared``) when the process may
+    run on two CPUs and the cube has at least 16 tiles, so that the two
+    threads' tile buffers stay within 1/8 of the cube: from n = 7 (16 tiles)
+    on, never at n <= 6 (one tile).
     """
     k = nbits // 2
     step = max(1, min(_TILE_CELLS >> k, 1 << nbits - k))
     return k, step, k + (step & -step).bit_length() - 1
 
 
-def _workers(nbits: int) -> int:
-    """The threads that share the row tiles of a cube of 2^nbits cells (see
-    ``_row_tiles``)."""
+def _shared(nbits: int) -> bool:
+    """Whether a helper thread shares the row tiles of a cube of 2^nbits
+    cells with the caller (see ``_row_tiles``)."""
+    k, step, _ = _row_tiles(nbits)
+    if (1 << nbits - k) // step < 16:
+        return False
     from ._crew import cpus
 
-    k, step, _ = _row_tiles(nbits)
-    return max(1, min(cpus(), (1 << nbits - k) // step // 8))
+    return cpus() >= 2
 
 
 def _moebius_law(transform: tuple[np.ndarray, float, Crew]) -> np.ndarray:
@@ -453,7 +459,9 @@ def _moebius_cell(transform: tuple[np.ndarray, float, Crew]) -> float:
     butterfly's own: 2^nbits cells of work.  The subtraction of T(full), the
     exp and the low k halvings run on one row tile at a time, each tile on
     one of the crew's threads, leaving one value per row, and the high
-    halvings run on those.
+    halvings run on those.  A tile takes the subtraction in its thread's
+    buffer, which frees the tile's own cells of T, and its halvings write
+    into these two spaces in turn, so they allocate nothing.
     """
     import numpy as np
 
@@ -469,8 +477,11 @@ def _moebius_cell(transform: tuple[np.ndarray, float, Crew]) -> float:
             tile = buf[: natural.size].reshape(natural.shape)
             np.subtract(natural, total, out=tile)
             np.exp(tile, out=tile)
+            spare = natural.reshape(-1)
             while tile.shape[1] > 1:
-                tile = tile[:, 1::2] - tile[:, 0::2]
+                half = spare[: tile.size // 2].reshape(len(tile), -1)
+                np.subtract(tile[:, 1::2], tile[:, 0::2], out=half)
+                tile, spare = half, tile.reshape(-1)
             x[r : r + step] = tile[:, 0]
 
     crew.run(len(rows), tiles, step)
@@ -484,8 +495,8 @@ def _transform(
 ) -> _T:
     """``moebius`` applied to the log cumulative law of the graphs inside
     ``edges``, with NumPy's ufunc buffer at ``_PASS_BUFSIZE`` for the passes
-    and restored afterwards, and the row tiles shared by one crew of
-    ``_workers`` threads, joined before this returns."""
+    and restored afterwards, and the row tiles shared with a helper thread
+    when ``_shared``, joined before this returns."""
     import numpy as np
 
     from ._crew import Crew
@@ -493,7 +504,7 @@ def _transform(
     bufsize = np.getbufsize()
     np.setbufsize(_PASS_BUFSIZE)
     try:
-        with Crew(_workers(edges.bit_count())) as crew:
+        with Crew(_shared(edges.bit_count())) as crew:
             return moebius(_log_cumulative_law(n, rates, edges, crew))
     finally:
         np.setbufsize(bufsize)
@@ -509,14 +520,13 @@ def graph_law(n: int, schedule: RateSchedule, *, cap: int | None = None) -> np.n
     hold a clique only; the subtraction of T(full), the exp, the low-bit
     Moebius passes and the high-bit passes of both transforms that fit in a
     tile run on one cache-sized row tile at a time, and NumPy's ufunc buffer
-    size is set for the passes and restored afterwards.  The tiles and the
-    whole-array passes are shared between threads, one per CPU the process
-    may run on but at most one per 8 tiles, so 2 at n = 7 and only the caller
-    at n <= 6, and only the caller while the CPUs are busy with other work
-    (see ``_crew.Crew``); every cell is bit-identical to the plain per-bit
-    butterfly, whatever the thread count.  Cost O(2^C(n,2) * C(n,2)) time, and memory
-    for the returned array plus a 1 MiB tile per thread, at most 1/8 of the
-    level (n = 7: a 16 MiB law in about 20 ms on two CPUs, 30 ms on one).
+    size is set for the passes and restored afterwards.  From n = 7 on, when
+    the process may run on two CPUs, a helper thread shares the tiles and the
+    whole-array passes with the caller (see ``_crew.Crew``); every cell is
+    bit-identical to the plain per-bit butterfly, whatever the thread
+    count.  Cost O(2^C(n,2) * C(n,2)) time, and memory for the returned array
+    plus a 1 MiB tile per thread (n = 7: a 16 MiB law in about 20 ms on two
+    CPUs, 30 ms on one).
     Raises ValueError when the level's total rate overflows.
     """
     _law_cap(n, cap)

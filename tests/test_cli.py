@@ -225,6 +225,24 @@ def test_mc_vs_exact_cells_pass_inside_their_bound(capsys):
         assert results["flagged_cells"] == sum(not cell["pass"] for cell in results["cells"])
 
 
+def test_mc_vs_exact_flags_a_hit_on_a_cell_computed_at_or_below_zero(monkeypatch):
+    # rounding leaves cells of tiny mass at or below 0 in the computed law;
+    # a draw on one is flagged however large alpha is
+    import poissonclique.cli as cli
+    from poissonclique.schedules import GeometricSchedule
+
+    schedule = GeometricSchedule(alpha=0.5)
+    law = cli.graph_law(3, schedule)
+    rounded = law.copy()
+    rounded[[0, 5]] = [-2e-16, 0.0]
+    monkeypatch.setattr(cli, "graph_law", lambda *args, **kwargs: rounded.copy())
+    results = cli.mc_vs_exact(schedule, 3, 5000, 4, alpha=1 - 1e-9)
+    hits = {cell["edge_mask"]: cell for cell in results["cells"] if cell["empirical"] > 0}
+    assert set(hits) == set(range(8))
+    assert [mask for mask, cell in hits.items() if not cell["pass"]] == [0, 5]
+    assert hits[0]["bound"] == hits[5]["bound"] == [0.0, 0.0]
+
+
 def bernoulli_kl(f, p):
     terms = [(f, p), (1 - f, 1 - p)]
     if any(a > 0 and b <= 0 for a, b in terms):

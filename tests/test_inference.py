@@ -888,15 +888,9 @@ def test_whole_level_kernels_hold_one_level_array():
         assert peak <= bound * level_bytes, f"{name}: peak {peak / level_bytes:.2f} x the level"
 
 
-# detected CPU counts: one (the serial loop), two, three (shares of uneven
-# length) and 64, which the one-worker-per-8-tiles cap cuts down
+# detected CPU counts: one (the serial loop), two, three and 64, all of which
+# share with one helper thread at most
 CPUS = (1, 2, 3, 64)
-
-
-def share_every_job(monkeypatch):
-    # crews share their jobs with workers however busy the host's CPUs are
-    monkeypatch.setattr(_crew, "_LEAST_CPUS", 0.0)
-    monkeypatch.setattr(_crew, "_alone_until", 0.0)
 
 
 def tiles_at(n, tile):
@@ -914,32 +908,29 @@ def tiles_at(n, tile):
 @pytest.mark.parametrize("schedule", EXACT_LAW_SCHEDULES[:2], ids=repr)
 def test_kernel_bits_do_not_depend_on_the_worker_count(schedule, n, tile, cpus, monkeypatch):
     monkeypatch.setattr(_crew, "cpus", lambda: cpus)
-    share_every_job(monkeypatch)
-    sizes = []
+    # the top passes of the small cubes split into tile-sized runs of columns
+    monkeypatch.setattr(inference, "_RUN_COLUMNS", 1)
+    shares = []
 
     class Recorded(_crew.Crew):
         def __enter__(self):
-            sizes.append(self.size)
+            shares.append(self.share)
             return super().__enter__()
 
     monkeypatch.setattr(_crew, "Crew", Recorded)
     test_kernel_subcubes_equal_butterfly_oracle(schedule, n, tile, monkeypatch)
     # the full cube has the most tiles; a sub-cube has at most as many
-    assert max(sizes) == max(1, min(cpus, tiles_at(n, tile) // 8))
+    assert any(shares) == (cpus >= 2 and tiles_at(n, tile) >= 16)
 
 
-def test_worker_count_follows_the_cpus_and_the_tiles(monkeypatch):
+def test_helper_follows_the_cpus_and_the_tiles(monkeypatch):
     for cpus in CPUS:
         monkeypatch.setattr(_crew, "cpus", lambda: cpus)
-        assert [inference._workers(n * (n - 1) // 2) for n in range(1, 9)] == [1] * 6 + [
-            min(cpus, 2),
-            min(cpus, 256),
-        ]
+        assert [inference._shared(n * (n - 1) // 2) for n in range(1, 9)] == [False] * 6 + [cpus >= 2] * 2
 
 
 def test_kernel_workers_share_the_passes_and_their_errors(monkeypatch):
     monkeypatch.setattr(_crew, "cpus", lambda: 2)
-    share_every_job(monkeypatch)
     caller = threading.get_ident()
     help = _crew._Job.help
 
@@ -995,56 +986,50 @@ def test_kernel_workers_share_the_passes_and_their_errors(monkeypatch):
         np.setbufsize(bufsize)
 
 
-def test_crew_runs_every_chunk_once_under_frequent_switches(monkeypatch):
-    # more threads than CPUs, and a switch interval that lets the interpreter
-    # change threads between any two bytecodes: a lost claim or a lost count
-    # of the chunks still pending shows as a chunk run twice or never
-    share_every_job(monkeypatch)
+def test_crew_runs_every_chunk_once_under_frequent_switches():
+    # four crews at once, eight threads on fewer CPUs, and a switch interval
+    # that lets the interpreter change threads between any two bytecodes: a
+    # lost claim or a lost count of the chunks still pending shows as a chunk
+    # run twice or never, or as a crew that never returns
+    def jobs(failures):
+        try:
+            with _crew.Crew(True) as crew:
+                for count, unit in [(50, 1)] * 50 + [(2000, 7), (5, 3), (0, 1)]:
+                    hits = [0] * count
+
+                    def work(lo, hi):
+                        time.sleep(1e-5)  # the chunk ends after the others have moved on
+                        for i in range(lo, hi):
+                            hits[i] += 1
+
+                    crew.run(count, work, unit)
+                    if hits != [1] * count:
+                        failures.append((count, unit, hits))
+        except Exception as exc:  # reported by the main thread's assertion
+            failures.append(exc)
+
     interval = sys.getswitchinterval()
     threads = threading.active_count()
+    failures = []
     sys.setswitchinterval(1e-6)
     try:
-        with _crew.Crew(8) as crew:
-            for count, unit in [(50, 1)] * 100 + [(2000, 7), (5, 3), (0, 1)]:
-                hits = [0] * count
-
-                def work(lo, hi):
-                    time.sleep(1e-5)  # the chunk ends after the others have moved on
-                    for i in range(lo, hi):
-                        hits[i] += 1
-
-                crew.run(count, work, unit)
-                assert hits == [1] * count
+        callers = [threading.Thread(target=jobs, args=(failures,)) for _ in range(3)]
+        for caller in callers:
+            caller.start()
+        jobs(failures)
+        for caller in callers:
+            caller.join(timeout=60)
     finally:
         sys.setswitchinterval(interval)
+    assert not any(caller.is_alive() for caller in callers)
+    assert failures == []
     assert threading.active_count() == threads
 
 
-def test_crew_starved_of_cpu_time_runs_alone(monkeypatch):
-    # threads whose CPU time stands still while the wall clock runs share
-    # their CPUs with other processes: after one shared job the call, and
-    # the calls of the next few seconds, run alone
-    monkeypatch.setattr(_crew, "cpus", lambda: 2)
-    schedule = GeometricSchedule(alpha=0.5)
-    shared = graph_law(7, schedule)
-    started = []
-    start = _crew.Crew._start
-    monkeypatch.setattr(_crew.Crew, "_start", lambda crew: started.append(crew) or start(crew))
-    monkeypatch.setattr(_crew, "_alone_until", 0.0)
-    with monkeypatch.context() as starved:
-        starved.setattr(_crew.time, "thread_time", lambda: 0.0)
-        assert_same_bits(graph_law(7, schedule), shared)
-    assert len(started) == 1
-    assert _crew._alone_until > time.monotonic()
-    assert graph_prob(complete_graph(7), schedule) == shared[-1]
-    assert len(started) == 1
-
-
 def test_whole_level_kernels_hold_one_level_array_under_many_cpus(monkeypatch):
-    # 64 CPUs are capped at 2 workers at n = 7, one 1 MiB tile buffer each
+    # 64 CPUs still share with one helper, one 1 MiB tile buffer each
     monkeypatch.setattr(_crew, "cpus", lambda: 64)
-    share_every_job(monkeypatch)
-    assert inference._workers(21) == 2
+    assert inference._shared(21)
     test_whole_level_kernels_hold_one_level_array()
 
 
