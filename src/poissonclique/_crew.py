@@ -2,16 +2,22 @@
 
 NumPy releases the GIL inside each ufunc, so two threads that run ufuncs on
 disjoint blocks of an array run at the same time.  Nothing here knows what
-the blocks hold: the whole-level kernel in ``inference`` hands its row tiles
-to a ``Crew``.  The module is imported by the functions that build arrays, so
-importing the package does not compile it.
+the blocks hold: the whole-level kernel in ``inference`` opens a ``helper``
+per call and hands its row tiles to ``run``.  The module is imported by the
+functions that build arrays, so importing the package does not compile it,
+and ``concurrent.futures`` (which imports ``logging``) is imported only when
+a helper is opened.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 import threading
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
+
+if TYPE_CHECKING:
+    from concurrent.futures import ThreadPoolExecutor
 
 
 def cpus() -> int:
@@ -22,101 +28,56 @@ def cpus() -> int:
         return os.cpu_count() or 1
 
 
-class _Job:
-    """``work(lo, hi)`` over range(count) in chunks of ``unit``, handed out in
-    order to whichever thread asks next."""
-
-    def __init__(self, count: int, work: Callable[[int, int], None], unit: int) -> None:
-        self.count, self.work, self.unit = count, work, unit
-        self.chunks = -(-count // unit)
-        self.claimed = 0
-        self.pending = self.chunks
-        self.errors: dict[int, BaseException] = {}
-        self.lock = threading.Lock()
-        self.done = threading.Event()
-        if not self.chunks:
-            self.done.set()
-
-    def help(self) -> None:
-        """Run chunks until none is left to claim."""
-        while True:
-            with self.lock:
-                i = self.claimed
-                self.claimed += 1
-            if i >= self.chunks:
-                return
-            try:
-                self.work(i * self.unit, min(self.count, (i + 1) * self.unit))
-            except BaseException as exc:  # re-raised by Crew.run, in the caller
-                self.errors[i] = exc
-            with self.lock:
-                self.pending -= 1
-                if not self.pending:
-                    self.done.set()
-
-
-class Crew:
-    """The caller and, if ``share``, one helper thread, running one job at a
-    time, each thread taking the job's next chunk until none is left.
-
-    The caller works on every job and waits only for a chunk that the helper
-    has started, never for the helper to wake up.  The helper starts with the
-    first job and is joined on exit, so none outlives the ``with`` block.
-    NumPy keeps the ufunc buffer size and the floating-point error state per
-    thread (1.x) or per context (2.x), so the helper takes the caller's when
-    it starts.
+def helper(share: bool) -> contextlib.AbstractContextManager[ThreadPoolExecutor | None]:
+    """A one-thread executor for ``run`` if ``share``, else a context that
+    holds None.  The thread starts with the first job and is joined on exit,
+    so none outlives the ``with`` block.  NumPy keeps the ufunc buffer size
+    and the floating-point error state per thread (1.x) or per context (2.x),
+    so the thread takes the caller's, as they are when the helper is opened.
     """
+    if not share:
+        return contextlib.nullcontext()
+    from concurrent.futures import ThreadPoolExecutor
 
-    def __init__(self, share: bool) -> None:
-        self.share = share
-        self._helper: threading.Thread | None = None
+    import numpy as np
 
-    def __enter__(self) -> Crew:
-        return self
+    bufsize, err = np.getbufsize(), np.geterr()
 
-    def __exit__(self, *exc_info) -> None:
-        if self._helper is not None:
-            with self._posted:
-                self._closed = True
-                self._posted.notify_all()
-            self._helper.join()
-
-    def _serve(self, bufsize: int, err: dict) -> None:
-        import numpy as np
-
+    def adopt() -> None:
         np.setbufsize(bufsize)
         np.seterr(**err)
-        job = None
+
+    return ThreadPoolExecutor(1, initializer=adopt)
+
+
+def run(pool: ThreadPoolExecutor | None, count: int, work: Callable[[int, int], None], unit: int = 1) -> None:
+    """``work(lo, hi)`` on every chunk [lo, hi) of range(count), cut at
+    multiples of ``unit``, each chunk on one thread: the caller and the
+    ``pool``'s thread, if any, each take the next chunk until none is left.
+    The caller waits only for a chunk that the pool thread has started, never
+    for that thread to take up the job.  Returns once every chunk is done; an
+    error in any chunk is then raised in the caller, the lowest chunk's."""
+    if pool is None:
+        work(0, count)
+        return
+    starts = iter(range(0, count, unit))
+    lock = threading.Lock()
+    errors: dict[int, BaseException] = {}
+
+    def take() -> None:
         while True:
-            with self._posted:
-                while self._job is job and not self._closed:
-                    self._posted.wait()
-                if self._closed:
-                    return
-                job = self._job
-            job.help()
+            with lock:
+                lo = next(starts, None)
+            if lo is None:
+                return
+            try:
+                work(lo, min(count, lo + unit))
+            except BaseException as exc:  # re-raised below, in the caller
+                errors[lo] = exc
 
-    def run(self, count: int, work: Callable[[int, int], None], unit: int = 1) -> None:
-        """``work(lo, hi)`` on every chunk [lo, hi) of range(count), cut at
-        multiples of ``unit``, each chunk on one thread.  Returns once every
-        chunk is done; an error in any chunk is then raised in the caller, the
-        lowest chunk's."""
-        if not self.share:
-            work(0, count)
-            return
-        if self._helper is None:
-            import numpy as np
-
-            self._job: _Job | None = None
-            self._closed = False
-            self._posted = threading.Condition()
-            self._helper = threading.Thread(target=self._serve, args=(np.getbufsize(), np.geterr()))
-            self._helper.start()
-        job = _Job(count, work, unit)
-        with self._posted:
-            self._job = job
-            self._posted.notify_all()
-        job.help()
-        job.done.wait()
-        if job.errors:
-            raise job.errors[min(job.errors)]
+    share = pool.submit(take)
+    take()
+    if not share.cancel():  # the pool thread took up the job
+        share.result()
+    if errors:
+        raise errors[min(errors)]

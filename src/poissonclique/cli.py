@@ -10,8 +10,9 @@ function returns in the one report envelope: format_version, command, inputs,
 schedule, seed, results, checks, and ok, true when every check passes.
 
 Exit codes: 0 success, 1 a requested check failed, 2 usage or argument error,
-3 a resource cap was exceeded.  The only environment knob is
-POISSONCLIQUE_MAX_N, which overrides the whole-level enumeration cap.
+3 a resource cap was exceeded or an array could not be allocated.  The only
+environment knob is POISSONCLIQUE_MAX_N, which overrides the whole-level
+enumeration cap.
 """
 
 from __future__ import annotations
@@ -464,7 +465,7 @@ def main(argv: list[str] | None = None) -> int:
             "ok": all(check["pass"] for check in checks),
         }
         text = dumps(report)
-    except ResourceCapError as exc:
+    except (ResourceCapError, MemoryError) as exc:  # MemoryError: an array NumPy could not allocate
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:

@@ -30,11 +30,11 @@ complements.  Two computation paths are used:
   The passes run with NumPy's ufunc buffer at 1024 elements, restored
   afterwards, so runs of 1024-2048 cells are not copied through it.  Row
   tiles are independent, so when the process may run on two CPUs and the
-  level has at least 16 tiles (n >= 7), the caller and one helper thread,
-  started and joined within the call, take them one at a time, and the
-  whole-array passes hand out tile-sized runs of columns to the same two
-  threads.  Each cell still sees the same float operations, in the same
-  order, as the plain per-bit butterfly.
+  level has at least 16 tiles (n >= 7), the caller and the thread of a
+  one-thread executor opened and joined within the call (``_crew.helper``)
+  take them one at a time, and the whole-array passes hand out tile-sized
+  runs of columns to the same two threads.  Each cell still sees the same
+  float operations, in the same order, as the plain per-bit butterfly.
 
 Subsets of cardinality <= 1 never affect the graph; they are marginalized out of
 every graph computation and cancel from every conditional ratio.
@@ -77,9 +77,12 @@ from .lattice import (
 from .schedules import RateSchedule
 
 if TYPE_CHECKING:
+    from concurrent.futures import ThreadPoolExecutor
+
     import numpy as np
 
-    from ._crew import Crew
+    # (T, T(full), the helper's pool or None): see _log_cumulative_law
+    _Transform = tuple[np.ndarray, float, ThreadPoolExecutor | None]
 
 _T = TypeVar("_T")
 
@@ -270,14 +273,16 @@ def _passes(x: np.ndarray, positions: range, op: np.ufunc, width: int = 1) -> No
         op(view[:, 1, :], view[:, 0, :], out=view[:, 1, :])
 
 
-def _whole_passes(crew: Crew, x: np.ndarray, positions: range, op: np.ufunc) -> None:
+def _whole_passes(pool: ThreadPoolExecutor | None, x: np.ndarray, positions: range, op: np.ufunc) -> None:
     """``_passes(x, positions, op)`` over the top bits c .. nbits - 1.  Seen
     as rows of 2^c cells, every such pass pairs two rows column by column, so
-    the crew's threads take disjoint runs of columns, each through every pass
-    in order, with no join between passes; a run is about a tile's cells,
-    but at least ``_RUN_COLUMNS`` columns."""
+    the threads of ``pool`` take disjoint runs of columns (see ``_crew.run``),
+    each through every pass in order, with no join between passes; a run is
+    about a tile's cells, but at least ``_RUN_COLUMNS`` columns."""
     if not positions:
         return
+    from ._crew import run
+
     columns = x.reshape(-1, 1 << positions.start)
 
     def part(lo: int, hi: int) -> None:
@@ -286,17 +291,15 @@ def _whole_passes(crew: Crew, x: np.ndarray, positions: range, op: np.ufunc) -> 
             view = block.reshape(-1, 2, 1 << q, hi - lo)
             op(view[:, 1], view[:, 0], out=view[:, 1])
 
-    crew.run(columns.shape[1], part, max(_RUN_COLUMNS, _TILE_CELLS >> len(positions)))
+    run(pool, columns.shape[1], part, max(_RUN_COLUMNS, _TILE_CELLS >> len(positions)))
 
 
-def _log_cumulative_law(
-    n: int, rates: list[float], edges: int, crew: Crew
-) -> tuple[np.ndarray, float, Crew]:
-    """The triple (T, T(full), ``crew``), where T - T(full) is log F(e) =
+def _log_cumulative_law(n: int, rates: list[float], edges: int, pool: ThreadPoolExecutor | None) -> _Transform:
+    """The triple (T, T(full), ``pool``), where T - T(full) is log F(e) =
     T(e) - T(full) for every graph e on [n] whose edges lie inside ``edges``,
     F(e) = P(graph <= e); index bit i of T carries the i-th set bit of
     ``edges``.  The consumer subtracts and takes the exp, one row tile at a
-    time, on the same crew.
+    time, on the same ``pool``.
 
     A zeta pass over an edge bit outside ``edges`` never writes a cell inside
     it, and one over a bit inside reads only cells inside, so these cells of
@@ -314,13 +317,15 @@ def _log_cumulative_law(
     butterfly leaves it.  The cliques inside ``edges``, their compacted keys
     and their columns come from array arithmetic on the pair masks, and one
     fancy assignment places the rates.  The passes over bits k .. c - 1 then
-    run on one row tile at a time, each tile on one of the crew's threads
+    run on one row tile at a time, each tile on one of ``pool``'s threads
     (see ``_row_tiles``), and only the bits from c on sweep the whole array,
     split by columns between the threads: 4 of 21 at n = 7, none at
     n <= 6.  Bits are processed in order 0 .. nbits - 1, so every cell is
     bit-identical to the plain per-bit butterfly.
     """
     import numpy as np
+
+    from ._crew import run
 
     pmt = pair_masks(n)
     level_bits = n * (n - 1) // 2
@@ -346,11 +351,11 @@ def _log_cumulative_law(
         for r in range(lo, hi, step):
             _passes(natural[r : r + step], range(k, c), np.add)
 
-    crew.run(len(natural), tiles, step)
-    _whole_passes(crew, law, range(c, nbits), np.add)
+    run(pool, len(natural), tiles, step)
+    _whole_passes(pool, law, range(c, nbits), np.add)
     if nbits == level_bits:
-        return law, float(law[-1]), crew
-    return law, _full_cell(keys, values, level_bits), crew
+        return law, float(law[-1]), pool
+    return law, _full_cell(keys, values, level_bits), pool
 def _clique_columns(keys: np.ndarray, values: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """The cells ``keys`` -> ``values`` of a cube seen as rows of 2^k cells,
     on one column per row that holds a cell, low bits on axis 0: the rows, in
@@ -415,12 +420,12 @@ def _shared(nbits: int) -> bool:
     return cpus() >= 2
 
 
-def _moebius_law(transform: tuple[np.ndarray, float, Crew]) -> np.ndarray:
+def _moebius_law(transform: _Transform) -> np.ndarray:
     """P(graph = e) for every cell, from ``_log_cumulative_law``, overwriting T.
 
     A pass at bit position p streams runs of 2^p cells, and NumPy's per-run
     overhead dominates on short ones.  So the rows are swept one cache-sized
-    tile at a time, each tile on one of the crew's threads, in a buffer of
+    tile at a time, each tile on one of ``pool``'s threads, in a buffer of
     that thread's own: each tile is copied transposed into the buffer, low bits
     on axis 0, as it takes the subtraction of T(full); there it takes the exp
     and the passes over the low k bits in runs of at least one cell per tile
@@ -430,7 +435,9 @@ def _moebius_law(transform: tuple[np.ndarray, float, Crew]) -> np.ndarray:
     """
     import numpy as np
 
-    law, total, crew = transform
+    from ._crew import run
+
+    law, total, pool = transform
     nbits = law.size.bit_length() - 1
     k, step, c = _row_tiles(nbits)
     rows = law.reshape(-1, 1 << k)
@@ -446,26 +453,28 @@ def _moebius_law(transform: tuple[np.ndarray, float, Crew]) -> np.ndarray:
             np.copyto(natural, tile.T)
             _passes(natural, range(k, c), np.subtract)
 
-    crew.run(len(rows), tiles, step)
-    _whole_passes(crew, law, range(c, nbits), np.subtract)
+    run(pool, len(rows), tiles, step)
+    _whole_passes(pool, law, range(c, nbits), np.subtract)
     return law
 
 
-def _moebius_cell(transform: tuple[np.ndarray, float, Crew]) -> float:
+def _moebius_cell(transform: _Transform) -> float:
     """P(graph = every edge of the cube), the last cell of ``_moebius_law``.
 
     The halving pass at bit p keeps the cells with bits 0 .. p set, and those
     are all that the last cell reads after pass p, so each subtraction is the
     butterfly's own: 2^nbits cells of work.  The subtraction of T(full), the
     exp and the low k halvings run on one row tile at a time, each tile on
-    one of the crew's threads, leaving one value per row, and the high
+    one of ``pool``'s threads, leaving one value per row, and the high
     halvings run on those.  A tile takes the subtraction in its thread's
     buffer, which frees the tile's own cells of T, and its halvings write
     into these two spaces in turn, so they allocate nothing.
     """
     import numpy as np
 
-    law, total, crew = transform
+    from ._crew import run
+
+    law, total, pool = transform
     k, step, _ = _row_tiles(law.size.bit_length() - 1)
     rows = law.reshape(-1, 1 << k)
     x = np.empty(len(rows))
@@ -484,28 +493,26 @@ def _moebius_cell(transform: tuple[np.ndarray, float, Crew]) -> float:
                 tile, spare = half, tile.reshape(-1)
             x[r : r + step] = tile[:, 0]
 
-    crew.run(len(rows), tiles, step)
+    run(pool, len(rows), tiles, step)
     while x.size > 1:
         x = x[1::2] - x[0::2]
     return float(x[0])
 
 
-def _transform(
-    n: int, rates: list[float], edges: int, moebius: Callable[[tuple[np.ndarray, float, Crew]], _T]
-) -> _T:
+def _transform(n: int, rates: list[float], edges: int, moebius: Callable[[_Transform], _T]) -> _T:
     """``moebius`` applied to the log cumulative law of the graphs inside
     ``edges``, with NumPy's ufunc buffer at ``_PASS_BUFSIZE`` for the passes
     and restored afterwards, and the row tiles shared with a helper thread
     when ``_shared``, joined before this returns."""
     import numpy as np
 
-    from ._crew import Crew
+    from ._crew import helper
 
     bufsize = np.getbufsize()
     np.setbufsize(_PASS_BUFSIZE)
     try:
-        with Crew(_shared(edges.bit_count())) as crew:
-            return moebius(_log_cumulative_law(n, rates, edges, crew))
+        with helper(_shared(edges.bit_count())) as pool:
+            return moebius(_log_cumulative_law(n, rates, edges, pool))
     finally:
         np.setbufsize(bufsize)
 
@@ -522,7 +529,7 @@ def graph_law(n: int, schedule: RateSchedule, *, cap: int | None = None) -> np.n
     tile run on one cache-sized row tile at a time, and NumPy's ufunc buffer
     size is set for the passes and restored afterwards.  From n = 7 on, when
     the process may run on two CPUs, a helper thread shares the tiles and the
-    whole-array passes with the caller (see ``_crew.Crew``); every cell is
+    whole-array passes with the caller (see ``_crew.run``); every cell is
     bit-identical to the plain per-bit butterfly, whatever the thread
     count.  Cost O(2^C(n,2) * C(n,2)) time, and memory for the returned array
     plus a 1 MiB tile per thread (n = 7: a 16 MiB law in about 20 ms on two

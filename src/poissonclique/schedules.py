@@ -78,7 +78,12 @@ class BetaUniformSchedule(RateSchedule):
             raise ValueError(f"c must be finite and positive, got {self.c}")
 
     def _rate(self, n: int, r: int) -> float:
-        return self.c / ((n + 1) * math.comb(n, r))
+        try:
+            return self.c / ((n + 1) * math.comb(n, r))
+        except OverflowError:  # the denominator is past the float range (n >= 1020)
+            from fractions import Fraction
+
+            return float(Fraction(self.c) / ((n + 1) * math.comb(n, r)))
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "c": self.c}

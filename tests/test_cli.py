@@ -461,6 +461,24 @@ def test_env_cap_override(capsys, monkeypatch):
     assert code == 2
 
 
+def test_failed_allocation_exit_code(capsys, monkeypatch):
+    # a cap raised past the memory fails in NumPy's allocation, a MemoryError
+    # subclass; the law function raises it here instead of allocating
+    import poissonclique.cli as cli
+
+    class ArrayMemoryError(MemoryError):
+        pass
+
+    def unallocatable(*args, **kwargs):
+        raise ArrayMemoryError("Unable to allocate 2.00 TiB for an array with shape (2**36,)")
+
+    monkeypatch.setattr(cli, "exchangeability_discrepancy", unallocatable)
+    monkeypatch.setenv("POISSONCLIQUE_MAX_N", "9")
+    code, out, err = run_cli(["check-exchangeability", "--schedule", GEOM_HALF, "--n", "9"], capsys)
+    assert (code, out) == (3, "")
+    assert err == "error: Unable to allocate 2.00 TiB for an array with shape (2**36,)\n"
+
+
 def test_module_entry_point():
     # the child imports the package from wherever this process found it
     package_root = str(Path(poissonclique.__file__).resolve().parent.parent)

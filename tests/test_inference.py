@@ -911,13 +911,13 @@ def test_kernel_bits_do_not_depend_on_the_worker_count(schedule, n, tile, cpus, 
     # the top passes of the small cubes split into tile-sized runs of columns
     monkeypatch.setattr(inference, "_RUN_COLUMNS", 1)
     shares = []
+    helper = _crew.helper
 
-    class Recorded(_crew.Crew):
-        def __enter__(self):
-            shares.append(self.share)
-            return super().__enter__()
+    def recorded(share):
+        shares.append(share)
+        return helper(share)
 
-    monkeypatch.setattr(_crew, "Crew", Recorded)
+    monkeypatch.setattr(_crew, "helper", recorded)
     test_kernel_subcubes_equal_butterfly_oracle(schedule, n, tile, monkeypatch)
     # the full cube has the most tiles; a sub-cube has at most as many
     assert any(shares) == (cpus >= 2 and tiles_at(n, tile) >= 16)
@@ -932,18 +932,24 @@ def test_helper_follows_the_cpus_and_the_tiles(monkeypatch):
 def test_kernel_workers_share_the_passes_and_their_errors(monkeypatch):
     monkeypatch.setattr(_crew, "cpus", lambda: 2)
     caller = threading.get_ident()
-    help = _crew._Job.help
+    run = _crew.run
 
-    def help_after_a_worker(job):
-        # a job's chunks go to whichever thread asks first; the caller waits
-        # until the worker holds one, so that both threads run every job
-        deadline = time.monotonic() + 10
-        while threading.get_ident() == caller and job.chunks > 1 and not job.claimed:
-            assert time.monotonic() < deadline, "the worker never claimed a chunk"
-            time.sleep(1e-4)
-        help(job)
+    def run_after_a_worker(pool, count, work, unit=1):
+        # a job's chunks go to whichever thread asks first; the caller's chunk
+        # waits until the worker has started one, so that both threads run
+        # every job of more than one chunk
+        started = threading.Event()
 
-    monkeypatch.setattr(_crew._Job, "help", help_after_a_worker)
+        def work_after_a_worker(lo, hi):
+            if threading.get_ident() != caller:
+                started.set()
+            elif pool is not None and count > unit:
+                assert started.wait(10), "the worker never started a chunk"
+            work(lo, hi)
+
+        run(pool, count, work_after_a_worker, unit)
+
+    monkeypatch.setattr(_crew, "run", run_after_a_worker)
     schedule = GeometricSchedule(alpha=0.5)
     seen = []
     passes = inference._passes
@@ -987,13 +993,13 @@ def test_kernel_workers_share_the_passes_and_their_errors(monkeypatch):
 
 
 def test_crew_runs_every_chunk_once_under_frequent_switches():
-    # four crews at once, eight threads on fewer CPUs, and a switch interval
-    # that lets the interpreter change threads between any two bytecodes: a
-    # lost claim or a lost count of the chunks still pending shows as a chunk
-    # run twice or never, or as a crew that never returns
+    # four helpers at once, eight threads on fewer CPUs, and a switch
+    # interval that lets the interpreter change threads between any two
+    # bytecodes: a lost claim shows as a chunk run twice or never, and a
+    # lost hand-over between the threads as a run that never returns
     def jobs(failures):
         try:
-            with _crew.Crew(True) as crew:
+            with _crew.helper(True) as pool:
                 for count, unit in [(50, 1)] * 50 + [(2000, 7), (5, 3), (0, 1)]:
                     hits = [0] * count
 
@@ -1002,7 +1008,7 @@ def test_crew_runs_every_chunk_once_under_frequent_switches():
                         for i in range(lo, hi):
                             hits[i] += 1
 
-                    crew.run(count, work, unit)
+                    _crew.run(pool, count, work, unit)
                     if hits != [1] * count:
                         failures.append((count, unit, hits))
         except Exception as exc:  # reported by the main thread's assertion
@@ -1024,6 +1030,32 @@ def test_crew_runs_every_chunk_once_under_frequent_switches():
     assert not any(caller.is_alive() for caller in callers)
     assert failures == []
     assert threading.active_count() == threads
+
+
+def test_crew_caller_does_not_wait_for_a_helper_that_has_not_started():
+    # the pool thread is held by another task, so the caller runs out of
+    # chunks before that thread takes up the job: the caller drops the
+    # thread's share and returns, every chunk run once, on the caller
+    caller = threading.get_ident()
+    release = threading.Event()
+    hits = [0] * 10
+    ran_on = set()
+
+    def work(lo, hi):
+        ran_on.add(threading.get_ident())
+        for i in range(lo, hi):
+            hits[i] += 1
+
+    with _crew.helper(True) as pool:
+        try:
+            blocker = pool.submit(release.wait, 10)
+            _crew.run(pool, 10, work)
+            held = not blocker.done()
+        finally:
+            release.set()
+    assert held, "run waited for the held pool thread"
+    assert hits == [1] * 10
+    assert ran_on == {caller}
 
 
 def test_whole_level_kernels_hold_one_level_array_under_many_cpus(monkeypatch):

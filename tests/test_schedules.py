@@ -42,6 +42,29 @@ def test_beta_uniform_matches_quadrature():
             assert math.isclose(s.rate(n, r), integral, abs_tol=1e-12)
 
 
+def test_beta_uniform_past_the_float_range_of_the_binomial():
+    # from n = 1020 on, (n + 1) * C(n, r) exceeds the largest float for the
+    # middle r; those rates are the correctly rounded quotient, the others
+    # keep their float division, within one unit in the last place of it
+    from fractions import Fraction
+
+    beyond = 0
+    for c in (1.0, 0.3):
+        s = BetaUniformSchedule(c=c)
+        for n in range(1019, 1026):
+            for r in range(n + 1):
+                denominator = (n + 1) * math.comb(n, r)
+                exact = float(Fraction(c) / denominator)
+                if denominator > 2**1024:
+                    beyond += 1
+                    assert s.rate(n, r) == exact
+                else:
+                    assert abs(s.rate(n, r) - exact) <= math.ulp(exact)
+    assert beyond > 0
+    assert BetaUniformSchedule(c=1.0).rate(1030, 515) == float(Fraction(1, 1031 * math.comb(1030, 515))) > 0
+    assert BetaUniformSchedule(c=1.0).rate(1100, 550) == 0.0
+
+
 def test_single_atom_equals_geometric():
     atom = MomentAtomsSchedule(((0.5, 1.0),))
     geom = GeometricSchedule(alpha=0.5, c=1.0)
