@@ -274,38 +274,26 @@ def _mc_vs_exact(args, cap):
 # Command table
 # ---------------------------------------------------------------------------
 
-def _seed(text: str) -> int:
-    try:
-        return check_seed(int(text))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"must be an integer in [0, 2^64), got {text!r}") from None
+def _checked(convert: Callable, ok: Callable, want: str) -> Callable:
+    """An argparse type: ``convert(text)`` if it converts and passes ``ok``, else
+    the usage error "must be <want>, got <text>"."""
+
+    def check(text: str):
+        try:
+            value = convert(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"must be {want}, got {text!r}")
+
+    return check
 
 
-def _level(text: str) -> int:
-    try:
-        if int(text) >= 0:
-            return int(text)
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
-
-
-def _nonnegative(text: str) -> float:
-    try:
-        if math.isfinite(float(text)) and float(text) >= 0.0:
-            return float(text)
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
-
-
-def _unit_open(text: str) -> float:
-    try:
-        if 0.0 < float(text) < 1.0:
-            return float(text)
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"must be a number in (0, 1), got {text!r}")
+_seed = _checked(lambda text: check_seed(int(text)), lambda seed: True, "an integer in [0, 2^64)")
+_level = _checked(int, lambda n: n >= 0, "an integer >= 0")
+_nonnegative = _checked(float, lambda x: math.isfinite(x) and x >= 0.0, "a finite number >= 0")
+_unit_open = _checked(float, lambda x: 0.0 < x < 1.0, "a number in (0, 1)")
 
 
 class Command(NamedTuple):

@@ -68,6 +68,9 @@ class BetaUniformSchedule(RateSchedule):
 
     The (n + 1) factor is forced: without it the binomial-inverse family fails
     the cross-level recurrence, since 1/C(n+1,r) + 1/C(n+1,r+1) = (n+2) / ((n+1) C(n,r)).
+
+    Each rate is one integer quotient: the correctly rounded exact fraction at
+    every level, past the float range of the binomial too (subnormal or zero there).
     """
 
     c: float = 1.0
@@ -78,12 +81,8 @@ class BetaUniformSchedule(RateSchedule):
             raise ValueError(f"c must be finite and positive, got {self.c}")
 
     def _rate(self, n: int, r: int) -> float:
-        try:
-            return self.c / ((n + 1) * math.comb(n, r))
-        except OverflowError:  # the denominator is past the float range (n >= 1020)
-            from fractions import Fraction
-
-            return float(Fraction(self.c) / ((n + 1) * math.comb(n, r)))
+        num, den = self.c.as_integer_ratio()
+        return num / (den * (n + 1) * math.comb(n, r))
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "c": self.c}
@@ -203,15 +202,20 @@ class ConsistencyReport:
 def check_consistency(
     schedule: RateSchedule, n_max: int, tol: float = DEFAULT_CONSISTENCY_TOL
 ) -> ConsistencyReport:
-    """Compare lambda_n(r) against lambda_{n+1}(r) + lambda_{n+1}(r+1) for all n < n_max."""
+    """Compare lambda_n(r) against lambda_{n+1}(r) + lambda_{n+1}(r+1) for all n < n_max.
+
+    Each level 1..n_max is read once, lowest first, so a table fails at its
+    lowest missing level; n_max = 1 reads none.
+    """
     if n_max < 1:
         raise ValueError(f"n_max must be at least 1, got {n_max}")
     worst = 0.0
     witnesses = []
+    upper = [schedule.rate(1, r) for r in range(2)] if n_max > 1 else []
     for n in range(1, n_max):
-        for r in range(n + 1):
-            lhs = schedule.rate(n, r)
-            rhs = schedule.rate(n + 1, r) + schedule.rate(n + 1, r + 1)
+        lower, upper = upper, [schedule.rate(n + 1, r) for r in range(n + 2)]
+        for r, lhs in enumerate(lower):
+            rhs = upper[r] + upper[r + 1]
             gap = abs(lhs - rhs)
             worst = max(worst, gap)
             if gap > tol:
@@ -253,6 +257,13 @@ def _table_level(key) -> int:
     return int(key)
 
 
+def _atom(atom) -> tuple[float, float]:
+    """A moment atom [location, weight]; any other shape raises TypeError naming it."""
+    if not (isinstance(atom, (list, tuple)) and len(atom) == 2):
+        raise TypeError(f"atom {atom!r} must be a [location, weight] pair")
+    return require_real(atom[0], "atom location"), require_real(atom[1], "atom weight")
+
+
 def schedule_from_dict(doc: Mapping) -> RateSchedule:
     """Parse {"kind": ..., parameters...}; raises ValueError on malformed input.
 
@@ -270,12 +281,7 @@ def schedule_from_dict(doc: Mapping) -> RateSchedule:
         if kind == "beta_uniform":
             return BetaUniformSchedule(c=require_real(doc.get("c", 1.0), "c"))
         if kind == "moment_atoms":
-            return MomentAtomsSchedule(
-                tuple(
-                    (require_real(x, "atom location"), require_real(w, "atom weight"))
-                    for x, w in doc["atoms"]
-                )
-            )
+            return MomentAtomsSchedule(tuple(_atom(atom) for atom in doc["atoms"]))
         if kind == "table":
             rows = doc["rows"].items()
             return TableSchedule(

@@ -774,6 +774,22 @@ def test_schedule_check_shorthand_missing_field(flags, missing, capsys):
     assert f"malformed '{flags[1]}' schedule document: '{missing}'" in err
 
 
+@pytest.mark.parametrize(
+    "atoms, atom",
+    [("[[0.5]]", "[0.5]"), ("[[0.3,1,2]]", "[0.3, 1, 2]"), ('{"a":1}', "'a'")],
+    ids=["one number", "three numbers", "object"],
+)
+def test_schedule_check_malformed_atom_exits_2(atoms, atom, capsys):
+    # unpacking the atom used to escape as "not enough values to unpack (...)"
+    argv = ["schedule", "check", "--kind", "moment_atoms", "--atoms", atoms, "--nmax", "3"]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err == (
+        f"error: malformed 'moment_atoms' schedule document: atom {atom} must be a [location, weight] pair\n"
+    )
+
+
 def test_schedule_check_shorthand_echoes_the_parsed_schedule(capsys):
     # a flag the kind has no field for is dropped, as schedule_from_dict drops it
     argv = ["schedule", "check", "--kind", "beta_uniform", "--alpha", "0.3", "--nmax", "3"]

@@ -7,10 +7,12 @@ import pytest
 from scipy.integrate import quad
 
 from poissonclique.schedules import (
+    DEFAULT_CONSISTENCY_TOL,
     BetaUniformSchedule,
     ConsistencyReport,
     GeometricSchedule,
     MomentAtomsSchedule,
+    RateSchedule,
     TableSchedule,
     check_consistency,
     constant_table,
@@ -43,24 +45,27 @@ def test_beta_uniform_matches_quadrature():
 
 
 def test_beta_uniform_past_the_float_range_of_the_binomial():
-    # from n = 1020 on, (n + 1) * C(n, r) exceeds the largest float for the
-    # middle r; those rates are the correctly rounded quotient, the others
-    # keep their float division, within one unit in the last place of it
+    # every rate is the correctly rounded quotient c / ((n + 1) * C(n, r)), also
+    # where the denominator passes 2^53 (first at (54, 20)) or the float range
+    # (n >= 1020, where the rate may be subnormal or zero)
     from fractions import Fraction
+
+    def exact(c, n, r):
+        return float(Fraction(c) / ((n + 1) * math.comb(n, r)))
 
     beyond = 0
     for c in (1.0, 0.3):
         s = BetaUniformSchedule(c=c)
         for n in range(1019, 1026):
             for r in range(n + 1):
-                denominator = (n + 1) * math.comb(n, r)
-                exact = float(Fraction(c) / denominator)
-                if denominator > 2**1024:
-                    beyond += 1
-                    assert s.rate(n, r) == exact
-                else:
-                    assert abs(s.rate(n, r) - exact) <= math.ulp(exact)
+                beyond += (n + 1) * math.comb(n, r) > 2**1024
+                assert s.rate(n, r) == exact(c, n, r)
     assert beyond > 0
+    assert BetaUniformSchedule(c=1.0).rate(54, 20) == exact(1.0, 54, 20)
+    assert BetaUniformSchedule(c=0.3).rate(54, 25) == exact(0.3, 54, 25)
+    for c in (1e-300, 7.5, 3e300):
+        for n, r in ((60, 30), (1100, 3), (2000, 40)):
+            assert BetaUniformSchedule(c=c).rate(n, r) == exact(c, n, r)
     assert BetaUniformSchedule(c=1.0).rate(1030, 515) == float(Fraction(1, 1031 * math.comb(1030, 515))) > 0
     assert BetaUniformSchedule(c=1.0).rate(1100, 550) == 0.0
 
@@ -153,6 +158,55 @@ def test_all_ones_table_witness():
     assert not report.ok
     assert report.max_violation == 1.0
     assert (1, 0, 1.0, 2.0) in report.witnesses
+
+
+class Recorded(RateSchedule):
+    """Another schedule's rates, recording every (n, r) asked for."""
+
+    kind = "recorded"
+
+    def __init__(self, inner: RateSchedule) -> None:
+        self.inner, self.reads = inner, []
+
+    def _rate(self, n: int, r: int) -> float:
+        self.reads.append((n, r))
+        return self.inner.rate(n, r)
+
+    def to_dict(self) -> dict:
+        return self.inner.to_dict()
+
+
+def three_call_report(schedule, n_max, tol):
+    # the recurrence check written out rate by rate, each rate read where it is used
+    worst, witnesses = 0.0, []
+    for n in range(1, n_max):
+        for r in range(n + 1):
+            lhs = schedule.rate(n, r)
+            rhs = schedule.rate(n + 1, r) + schedule.rate(n + 1, r + 1)
+            worst = max(worst, abs(lhs - rhs))
+            if abs(lhs - rhs) > tol:
+                witnesses.append((n, r, lhs, rhs))
+    return ConsistencyReport(n_max, tol, worst, tuple(witnesses))
+
+
+@pytest.mark.parametrize("n_max", [2, 6])
+def test_consistency_reads_each_rate_once(n_max):
+    rng = random.Random(n_max)
+    table = TableSchedule({n: tuple(rng.choice((0.25, 0.5, 1.0)) for _ in range(n + 1)) for n in range(8)})
+    recorded = Recorded(table)
+    report = check_consistency(recorded, n_max, tol=0.3)
+    assert sorted(recorded.reads) == [(n, r) for n in range(1, n_max + 1) for r in range(n + 1)]
+    assert report == three_call_report(table, n_max, 0.3)
+    assert report.witnesses and report.max_violation > 0.3
+
+
+def test_consistency_to_level_1_reads_no_rate():
+    recorded = Recorded(TableSchedule({0: (1.0,), 2: (0.1, 0.2, 0.3)}))
+    report = check_consistency(recorded, 1)
+    assert recorded.reads == []
+    assert report == ConsistencyReport(1, DEFAULT_CONSISTENCY_TOL, 0.0, ())
+    with pytest.raises(ValueError, match="level 1 not present"):
+        check_consistency(recorded, 2)
 
 
 def test_random_consistent_schedules():
