@@ -1,23 +1,25 @@
-"""A helper thread that shares one job at a time with its caller, chunk by chunk.
+"""A helper thread that shares one job at a time with its caller, by halves.
 
 NumPy releases the GIL inside each ufunc, so two threads that run ufuncs on
 disjoint blocks of an array run at the same time.  Nothing here knows what
-the blocks hold: the whole-level kernel in ``inference`` opens a ``helper``
-per call and hands its row tiles to ``run``.  The module is imported by the
-functions that build arrays, so importing the package does not compile it,
-and ``concurrent.futures`` (which imports ``logging``) is imported only when
-a helper is opened.
+the arrays hold: the whole-level kernel in ``inference`` opens a ``helper``
+per call and hands ``halves`` its level array, whose halves are the two
+sub-cubes below and above the cube's top index bit.  The module is imported
+by the functions that build arrays, so importing the package does not
+compile it, and ``concurrent.futures`` (which imports ``logging``) is
+imported only when a helper is opened.
 """
 
 from __future__ import annotations
 
 import contextlib
 import os
-import threading
 from typing import TYPE_CHECKING, Callable
 
 if TYPE_CHECKING:
     from concurrent.futures import ThreadPoolExecutor
+
+    import numpy as np
 
 
 def cpus() -> int:
@@ -29,7 +31,7 @@ def cpus() -> int:
 
 
 def helper(share: bool) -> contextlib.AbstractContextManager[ThreadPoolExecutor | None]:
-    """A one-thread executor for ``run`` if ``share``, else a context that
+    """A one-thread executor for ``halves`` if ``share``, else a context that
     holds None.  The thread starts with the first job and is joined on exit,
     so none outlives the ``with`` block.  NumPy keeps the ufunc buffer size
     and the floating-point error state per thread (1.x) or per context (2.x),
@@ -50,34 +52,29 @@ def helper(share: bool) -> contextlib.AbstractContextManager[ThreadPoolExecutor 
     return ThreadPoolExecutor(1, initializer=adopt)
 
 
-def run(pool: ThreadPoolExecutor | None, count: int, work: Callable[[int, int], None], unit: int = 1) -> None:
-    """``work(lo, hi)`` on every chunk [lo, hi) of range(count), cut at
-    multiples of ``unit``, each chunk on one thread: the caller and the
-    ``pool``'s thread, if any, each take the next chunk until none is left.
-    The caller waits only for a chunk that the pool thread has started, never
-    for that thread to take up the job.  Returns once every chunk is done; an
-    error in any chunk is then raised in the caller, the lowest chunk's."""
+def halves(pool: ThreadPoolExecutor | None, work: Callable[..., object], *arrays: np.ndarray) -> bool:
+    """``work(*arrays)`` on the caller if ``pool`` is None; returns False.
+
+    Otherwise ``work`` runs once on the lower halves of the flat ``arrays``,
+    on the caller, and once on their upper halves, on the ``pool``'s thread
+    if that thread has started them by the time the caller is done, else on
+    the caller too: the caller never waits for the thread to take up the
+    job.  Returns True once both halves are done; an error in either is then
+    raised in the caller, the lower half's if both raise.
+    """
     if pool is None:
-        work(0, count)
-        return
-    starts = iter(range(0, count, unit))
-    lock = threading.Lock()
-    errors: dict[int, BaseException] = {}
-
-    def take() -> None:
-        while True:
-            with lock:
-                lo = next(starts, None)
-            if lo is None:
-                return
-            try:
-                work(lo, min(count, lo + unit))
-            except BaseException as exc:  # re-raised below, in the caller
-                errors[lo] = exc
-
-    share = pool.submit(take)
-    take()
-    if not share.cancel():  # the pool thread took up the job
+        work(*arrays)
+        return False
+    lower, upper = zip(*(a.reshape(2, -1) for a in arrays))
+    share = pool.submit(work, *upper)
+    try:
+        work(*lower)
+    except BaseException:
+        if not share.cancel():  # the pool thread took up the job
+            share.exception()
+        raise
+    if share.cancel():
+        work(*upper)
+    else:
         share.result()
-    if errors:
-        raise errors[min(errors)]
+    return True

@@ -28,13 +28,14 @@ complements.  Two computation paths are used:
   of a graph short of complete comes from halvings of the clique cells, and
   reads its one cell by halving passes, the low ones on the same row tiles.
   The passes run with NumPy's ufunc buffer at 1024 elements, restored
-  afterwards, so runs of 1024-2048 cells are not copied through it.  Row
-  tiles are independent, so when the process may run on two CPUs and the
-  level has at least 16 tiles (n >= 7), the caller and the thread of a
-  one-thread executor opened and joined within the call (``_crew.helper``)
-  take them one at a time, and the whole-array passes hand out tile-sized
-  runs of columns to the same two threads.  Each cell still sees the same
-  float operations, in the same order, as the plain per-bit butterfly.
+  afterwards, so runs of 1024-2048 cells are not copied through it.  Every
+  pass but the one over the top index bit pairs cells inside one half of the
+  cube, so when the process may run on two CPUs and the level has at least
+  16 tiles (n >= 7), the caller and the thread of a one-thread executor
+  opened and joined within the call (``_crew.helper``) each run the tile
+  loop and the whole-array passes on one half, and split the pass over the
+  top bit by halves again.  Each cell still sees the same float operations,
+  in the same order, as the plain per-bit butterfly.
 
 Subsets of cardinality <= 1 never affect the graph; they are marginalized out of
 every graph computation and cancel from every conditional ratio.
@@ -259,10 +260,6 @@ _PASS_BUFSIZE = 1024
 # sets which high passes run inside a tile (17 of 21 bits at n = 7).  Larger
 # tiles measured slower at n = 7.
 _TILE_CELLS = 1 << 17
-# Fewest columns in a run of the shared top passes (32 KiB per row): at n = 8
-# they span 2^11 rows, and runs of 64 columns (512 bytes per row) made them
-# twice as slow as one thread's whole-array passes, while 4096 made them faster.
-_RUN_COLUMNS = 1 << 12
 
 
 def _passes(x: np.ndarray, positions: range, op: np.ufunc, width: int = 1) -> None:
@@ -273,25 +270,12 @@ def _passes(x: np.ndarray, positions: range, op: np.ufunc, width: int = 1) -> No
         op(view[:, 1, :], view[:, 0, :], out=view[:, 1, :])
 
 
-def _whole_passes(pool: ThreadPoolExecutor | None, x: np.ndarray, positions: range, op: np.ufunc) -> None:
-    """``_passes(x, positions, op)`` over the top bits c .. nbits - 1.  Seen
-    as rows of 2^c cells, every such pass pairs two rows column by column, so
-    the threads of ``pool`` take disjoint runs of columns (see ``_crew.run``),
-    each through every pass in order, with no join between passes; a run is
-    about a tile's cells, but at least ``_RUN_COLUMNS`` columns."""
-    if not positions:
-        return
-    from ._crew import run
+def _top_pass(pool: ThreadPoolExecutor | None, x: np.ndarray, op: np.ufunc) -> None:
+    """``_passes`` over the top index bit of ``x``, split by halves of each
+    operand between the threads of ``pool`` (see ``_crew.halves``)."""
+    from ._crew import halves
 
-    columns = x.reshape(-1, 1 << positions.start)
-
-    def part(lo: int, hi: int) -> None:
-        block = columns[:, lo:hi]
-        for q in range(len(positions)):
-            view = block.reshape(-1, 2, 1 << q, hi - lo)
-            op(view[:, 1], view[:, 0], out=view[:, 1])
-
-    run(pool, columns.shape[1], part, max(_RUN_COLUMNS, _TILE_CELLS >> len(positions)))
+    halves(pool, lambda lo, hi: op(hi, lo, out=hi), *x.reshape(2, -1))
 
 
 def _log_cumulative_law(n: int, rates: list[float], edges: int, pool: ThreadPoolExecutor | None) -> _Transform:
@@ -317,15 +301,16 @@ def _log_cumulative_law(n: int, rates: list[float], edges: int, pool: ThreadPool
     butterfly leaves it.  The cliques inside ``edges``, their compacted keys
     and their columns come from array arithmetic on the pair masks, and one
     fancy assignment places the rates.  The passes over bits k .. c - 1 then
-    run on one row tile at a time, each tile on one of ``pool``'s threads
-    (see ``_row_tiles``), and only the bits from c on sweep the whole array,
-    split by columns between the threads: 4 of 21 at n = 7, none at
-    n <= 6.  Bits are processed in order 0 .. nbits - 1, so every cell is
-    bit-identical to the plain per-bit butterfly.
+    run on one row tile at a time (see ``_row_tiles``), and only the bits
+    from c on sweep the whole array: 4 of 21 at n = 7, none at n <= 6.  With
+    a ``pool``, each thread runs these passes on one half of the cube, below
+    and above its top bit, and the pass over the top bit is split again (see
+    ``_crew.halves``).  Bits are processed in order 0 .. nbits - 1, so every
+    cell is bit-identical to the plain per-bit butterfly.
     """
     import numpy as np
 
-    from ._crew import run
+    from ._crew import halves
 
     pmt = pair_masks(n)
     level_bits = n * (n - 1) // 2
@@ -344,18 +329,21 @@ def _log_cumulative_law(n: int, rates: list[float], edges: int, pool: ThreadPool
     _passes(low, range(k), np.add, rows.size)
 
     law = np.zeros(1 << nbits)
-    natural = law.reshape(-1, 1 << k)
-    natural[rows] = low.T
+    law.reshape(-1, 1 << k)[rows] = low.T
 
-    def tiles(lo: int, hi: int) -> None:
-        for r in range(lo, hi, step):
+    def half(part: np.ndarray) -> None:
+        natural = part.reshape(-1, 1 << k)
+        for r in range(0, len(natural), step):
             _passes(natural[r : r + step], range(k, c), np.add)
+        _passes(part, range(c, part.size.bit_length() - 1), np.add)
 
-    run(pool, len(natural), tiles, step)
-    _whole_passes(pool, law, range(c, nbits), np.add)
+    if halves(pool, half, law):
+        _top_pass(pool, law, np.add)
     if nbits == level_bits:
         return law, float(law[-1]), pool
     return law, _full_cell(keys, values, level_bits), pool
+
+
 def _clique_columns(keys: np.ndarray, values: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """The cells ``keys`` -> ``values`` of a cube seen as rows of 2^k cells,
     on one column per row that holds a cell, low bits on axis 0: the rows, in
@@ -397,10 +385,11 @@ def _row_tiles(nbits: int) -> tuple[int, int, int]:
     c = k + the trailing zero bits of that count.  Tiles start at multiples of
     it, and a pass over bit p pairs cells only inside one aligned block of
     2^(p + 1) cells, so the passes over bits k .. c - 1 pair cells inside one
-    tile, and different threads can take different tiles.
+    tile.
 
-    A helper thread shares the tiles (see ``_shared``) when the process may
-    run on two CPUs and the cube has at least 16 tiles, so that the two
+    A helper thread takes the upper half of the cube, above its top index bit
+    (see ``_shared``), when the process may run on two CPUs and the cube has
+    at least 16 tiles, so that each half holds whole tiles and the two
     threads' tile buffers stay within 1/8 of the cube: from n = 7 (16 tiles)
     on, never at n <= 6 (one tile).
     """
@@ -410,8 +399,8 @@ def _row_tiles(nbits: int) -> tuple[int, int, int]:
 
 
 def _shared(nbits: int) -> bool:
-    """Whether a helper thread shares the row tiles of a cube of 2^nbits
-    cells with the caller (see ``_row_tiles``)."""
+    """Whether a helper thread takes the upper half of a cube of 2^nbits
+    cells while the caller runs the lower half (see ``_row_tiles``)."""
     k, step, _ = _row_tiles(nbits)
     if (1 << nbits - k) // step < 16:
         return False
@@ -425,26 +414,27 @@ def _moebius_law(transform: _Transform) -> np.ndarray:
 
     A pass at bit position p streams runs of 2^p cells, and NumPy's per-run
     overhead dominates on short ones.  So the rows are swept one cache-sized
-    tile at a time, each tile on one of ``pool``'s threads, in a buffer of
-    that thread's own: each tile is copied transposed into the buffer, low bits
-    on axis 0, as it takes the subtraction of T(full); there it takes the exp
-    and the passes over the low k bits in runs of at least one cell per tile
-    row, is copied back, and takes the passes over bits k .. c - 1 while it is
-    in cache.  Only the bits from c on sweep the whole array.  Every cell
-    still sees its operations in bit order 0 .. nbits - 1.
+    tile at a time, in a buffer of the thread's own: each tile is copied
+    transposed into the buffer, low bits on axis 0, as it takes the
+    subtraction of T(full); there it takes the exp and the passes over the
+    low k bits in runs of at least one cell per tile row, is copied back, and
+    takes the passes over bits k .. c - 1 while it is in cache.  Only the
+    bits from c on sweep the whole array.  With a ``pool``, each thread runs
+    all of this on one half of the cube, below and above its top bit, and
+    the pass over the top bit is split again.  Every cell still sees its
+    operations in bit order 0 .. nbits - 1.
     """
     import numpy as np
 
-    from ._crew import run
+    from ._crew import halves
 
     law, total, pool = transform
-    nbits = law.size.bit_length() - 1
-    k, step, c = _row_tiles(nbits)
-    rows = law.reshape(-1, 1 << k)
+    k, step, c = _row_tiles(law.size.bit_length() - 1)
 
-    def tiles(lo: int, hi: int) -> None:
+    def half(part: np.ndarray) -> None:
+        rows = part.reshape(-1, 1 << k)
         buf = np.empty(step << k)
-        for r in range(lo, hi, step):
+        for r in range(0, len(rows), step):
             natural = rows[r : r + step]
             tile = buf[: natural.size].reshape(1 << k, -1)
             np.subtract(natural.T, total, out=tile)
@@ -452,9 +442,10 @@ def _moebius_law(transform: _Transform) -> np.ndarray:
             _passes(tile, range(k), np.subtract, len(natural))
             np.copyto(natural, tile.T)
             _passes(natural, range(k, c), np.subtract)
+        _passes(part, range(c, part.size.bit_length() - 1), np.subtract)
 
-    run(pool, len(rows), tiles, step)
-    _whole_passes(pool, law, range(c, nbits), np.subtract)
+    if halves(pool, half, law):
+        _top_pass(pool, law, np.subtract)
     return law
 
 
@@ -464,36 +455,38 @@ def _moebius_cell(transform: _Transform) -> float:
     The halving pass at bit p keeps the cells with bits 0 .. p set, and those
     are all that the last cell reads after pass p, so each subtraction is the
     butterfly's own: 2^nbits cells of work.  The subtraction of T(full), the
-    exp and the low k halvings run on one row tile at a time, each tile on
-    one of ``pool``'s threads, leaving one value per row, and the high
-    halvings run on those.  A tile takes the subtraction in its thread's
-    buffer, which frees the tile's own cells of T, and its halvings write
-    into these two spaces in turn, so they allocate nothing.
+    exp and the low k halvings run on one row tile at a time, leaving one
+    value per row, and the high halvings run on those.  With a ``pool``, each
+    thread takes the tiles of one half of the cube, below and above its top
+    bit, and the matching half of the row values.  A tile takes the
+    subtraction in its thread's buffer, which frees the tile's own cells of
+    T, and its halvings write into these two spaces in turn, so they
+    allocate nothing.
     """
     import numpy as np
 
-    from ._crew import run
+    from ._crew import halves
 
     law, total, pool = transform
     k, step, _ = _row_tiles(law.size.bit_length() - 1)
-    rows = law.reshape(-1, 1 << k)
-    x = np.empty(len(rows))
+    x = np.empty(law.size >> k)
 
-    def tiles(lo: int, hi: int) -> None:
+    def half(part: np.ndarray, sums: np.ndarray) -> None:
+        rows = part.reshape(-1, 1 << k)
         buf = np.empty(step << k)
-        for r in range(lo, hi, step):
+        for r in range(0, len(rows), step):
             natural = rows[r : r + step]
             tile = buf[: natural.size].reshape(natural.shape)
             np.subtract(natural, total, out=tile)
             np.exp(tile, out=tile)
             spare = natural.reshape(-1)
             while tile.shape[1] > 1:
-                half = spare[: tile.size // 2].reshape(len(tile), -1)
-                np.subtract(tile[:, 1::2], tile[:, 0::2], out=half)
-                tile, spare = half, tile.reshape(-1)
-            x[r : r + step] = tile[:, 0]
+                halved = spare[: tile.size // 2].reshape(len(tile), -1)
+                np.subtract(tile[:, 1::2], tile[:, 0::2], out=halved)
+                tile, spare = halved, tile.reshape(-1)
+            sums[r : r + step] = tile[:, 0]
 
-    run(pool, len(rows), tiles, step)
+    halves(pool, half, law, x)
     while x.size > 1:
         x = x[1::2] - x[0::2]
     return float(x[0])
@@ -502,8 +495,8 @@ def _moebius_cell(transform: _Transform) -> float:
 def _transform(n: int, rates: list[float], edges: int, moebius: Callable[[_Transform], _T]) -> _T:
     """``moebius`` applied to the log cumulative law of the graphs inside
     ``edges``, with NumPy's ufunc buffer at ``_PASS_BUFSIZE`` for the passes
-    and restored afterwards, and the row tiles shared with a helper thread
-    when ``_shared``, joined before this returns."""
+    and restored afterwards, and the cube split by its top bit with a helper
+    thread when ``_shared``, joined before this returns."""
     import numpy as np
 
     from ._crew import helper
@@ -528,12 +521,14 @@ def graph_law(n: int, schedule: RateSchedule, *, cap: int | None = None) -> np.n
     Moebius passes and the high-bit passes of both transforms that fit in a
     tile run on one cache-sized row tile at a time, and NumPy's ufunc buffer
     size is set for the passes and restored afterwards.  From n = 7 on, when
-    the process may run on two CPUs, a helper thread shares the tiles and the
-    whole-array passes with the caller (see ``_crew.run``); every cell is
-    bit-identical to the plain per-bit butterfly, whatever the thread
-    count.  Cost O(2^C(n,2) * C(n,2)) time, and memory for the returned array
-    plus a 1 MiB tile per thread (n = 7: a 16 MiB law in about 20 ms on two
-    CPUs, 30 ms on one).
+    the process may run on two CPUs, a helper thread runs every pass but the
+    top one on the upper half of the cube, above its top bit, while the
+    caller runs them on the lower half, and the two split the top pass by
+    halves again (see ``_crew.halves``); every cell is bit-identical to the
+    plain per-bit butterfly, whatever the thread count.  Cost
+    O(2^C(n,2) * C(n,2)) time, and memory for the returned array plus a
+    1 MiB tile per thread (n = 7: a 16 MiB law in about 20 ms on two CPUs,
+    30 ms on one).
     Raises ValueError when the level's total rate overflows.
     """
     _law_cap(n, cap)
@@ -549,7 +544,7 @@ def graph_prob(graph: Graph, schedule: RateSchedule, *, cap: int | None = None) 
     E(G), as ``graph_law`` does, and reads the one cell at E(G) by halving
     Moebius passes, which make the butterfly's own subtractions for that cell;
     the subtraction of T(full), the exp and the low-bit halvings run one row
-    tile at a time, the tiles shared between threads as in ``graph_law``, so
+    tile at a time, each half of the cube on one thread as in ``graph_law``, so
     the cumulative law is the only array of its size (K7: 16 MiB, about 9 ms
     on two CPUs, 13 ms on one; K6 plus a pendant edge at n = 7: 512 KiB, one
     tile, about 0.6 ms).  It returns the same float as
@@ -622,16 +617,20 @@ def coarse_cluster_prob(subset: int, graph: Graph, schedule: RateSchedule) -> fl
     """P(some latent point covers ``subset`` | projected graph).
 
     The covering point must itself be a clique of the observed graph, so the
-    answer is 0 whenever no clique contains ``subset``.
+    answer is 0 whenever no clique contains ``subset``.  The weight of "some"
+    is summed over the first superset clique present, so no term cancels and
+    a small answer keeps its relative accuracy.
     """
-    cliques, presence, pmt, target, denom = _conditional_setup(subset, graph, schedule)
+    cliques, presence, pmt, target, _ = _conditional_setup(subset, graph, schedule)
     supersets = tuple(a for a in cliques if mask_leq(subset, a))
     rest = tuple(a for a in cliques if not mask_leq(subset, a))
-    none_present = 1.0
-    for a in supersets:
+    some, none_present = 0.0, 1.0
+    for i, a in enumerate(supersets):
+        needed = target & ~pmt[a]
+        some += none_present * presence[a] * _cover_weight(rest + supersets[i + 1 :], presence, pmt, needed)
         none_present *= 1.0 - presence[a]
-    none_weight = none_present * _cover_weight(rest, presence, pmt, target)
-    return (denom - none_weight) / denom
+    none = none_present * _cover_weight(rest, presence, pmt, target)
+    return some / (some + none) if some else 0.0
 
 
 def classify_extension(

@@ -432,6 +432,17 @@ def test_coarse_dominates_cluster():
                 ) + 1e-12
 
 
+@pytest.mark.parametrize("alpha, c", [(1e-3, 1e6), (1e-6, 1e12), (1e-8, 1e16)])
+def test_coarse_cluster_prob_keeps_small_answers_relative(alpha, c):
+    # the triangle itself is its only superset clique, so covering it and
+    # being a latent point are one event; the answer is about 4 * alpha
+    schedule = GeometricSchedule(alpha=alpha, c=c)
+    triangle = mask_of([1, 2, 3], 3)
+    exact = cluster_prob(triangle, TRIANGLE, schedule)
+    assert exact < 1e-2
+    assert abs(coarse_cluster_prob(triangle, TRIANGLE, schedule) - exact) <= 1e-14 * exact
+
+
 # ---------------------------------------------------------------------------
 # Classification of an added vertex
 # ---------------------------------------------------------------------------
@@ -908,8 +919,6 @@ def tiles_at(n, tile):
 @pytest.mark.parametrize("schedule", EXACT_LAW_SCHEDULES[:2], ids=repr)
 def test_kernel_bits_do_not_depend_on_the_worker_count(schedule, n, tile, cpus, monkeypatch):
     monkeypatch.setattr(_crew, "cpus", lambda: cpus)
-    # the top passes of the small cubes split into tile-sized runs of columns
-    monkeypatch.setattr(inference, "_RUN_COLUMNS", 1)
     shares = []
     helper = _crew.helper
 
@@ -932,24 +941,23 @@ def test_helper_follows_the_cpus_and_the_tiles(monkeypatch):
 def test_kernel_workers_share_the_passes_and_their_errors(monkeypatch):
     monkeypatch.setattr(_crew, "cpus", lambda: 2)
     caller = threading.get_ident()
-    run = _crew.run
+    halves = _crew.halves
 
-    def run_after_a_worker(pool, count, work, unit=1):
-        # a job's chunks go to whichever thread asks first; the caller's chunk
-        # waits until the worker has started one, so that both threads run
-        # every job of more than one chunk
+    def halves_after_the_helper(pool, work, *arrays):
+        # the caller's half waits until the helper has started the other
+        # half, so that both threads run every shared job
         started = threading.Event()
 
-        def work_after_a_worker(lo, hi):
+        def work_after_the_helper(*parts):
             if threading.get_ident() != caller:
                 started.set()
-            elif pool is not None and count > unit:
-                assert started.wait(10), "the worker never started a chunk"
-            work(lo, hi)
+            elif pool is not None:
+                assert started.wait(10), "the helper never started its half"
+            work(*parts)
 
-        run(pool, count, work_after_a_worker, unit)
+        return halves(pool, work_after_the_helper, *arrays)
 
-    monkeypatch.setattr(_crew, "run", run_after_a_worker)
+    monkeypatch.setattr(_crew, "halves", halves_after_the_helper)
     schedule = GeometricSchedule(alpha=0.5)
     seen = []
     passes = inference._passes
@@ -992,25 +1000,26 @@ def test_kernel_workers_share_the_passes_and_their_errors(monkeypatch):
         np.setbufsize(bufsize)
 
 
-def test_crew_runs_every_chunk_once_under_frequent_switches():
+def test_crew_runs_each_half_once_under_frequent_switches():
     # four helpers at once, eight threads on fewer CPUs, and a switch
     # interval that lets the interpreter change threads between any two
-    # bytecodes: a lost claim shows as a chunk run twice or never, and a
-    # lost hand-over between the threads as a run that never returns
+    # bytecodes: a half run twice or never shows in the counts, and a lost
+    # hand-over between the threads as a call that never returns
     def jobs(failures):
         try:
             with _crew.helper(True) as pool:
-                for count, unit in [(50, 1)] * 50 + [(2000, 7), (5, 3), (0, 1)]:
-                    hits = [0] * count
+                for size in [2] * 50 + [2000, 10]:
+                    hits, other = np.zeros(size, int), np.zeros(size, int)
 
-                    def work(lo, hi):
-                        time.sleep(1e-5)  # the chunk ends after the others have moved on
-                        for i in range(lo, hi):
-                            hits[i] += 1
+                    def work(part, other_part):
+                        time.sleep(1e-5)  # the half ends after the other has moved on
+                        for i in range(part.size):
+                            part[i] += 1
+                            other_part[i] += 1
 
-                    _crew.run(pool, count, work, unit)
-                    if hits != [1] * count:
-                        failures.append((count, unit, hits))
+                    assert _crew.halves(pool, work, hits, other)
+                    if not (hits == 1).all() or not (other == 1).all():
+                        failures.append((size, hits, other))
         except Exception as exc:  # reported by the main thread's assertion
             failures.append(exc)
 
@@ -1033,29 +1042,67 @@ def test_crew_runs_every_chunk_once_under_frequent_switches():
 
 
 def test_crew_caller_does_not_wait_for_a_helper_that_has_not_started():
-    # the pool thread is held by another task, so the caller runs out of
-    # chunks before that thread takes up the job: the caller drops the
-    # thread's share and returns, every chunk run once, on the caller
+    # the pool thread is held by another task, so the caller ends its half
+    # before that thread takes up the job: the caller drops the thread's
+    # share, runs the other half itself and returns, every cell hit once
     caller = threading.get_ident()
     release = threading.Event()
-    hits = [0] * 10
+    hits = np.zeros(10, int)
     ran_on = set()
 
-    def work(lo, hi):
+    def work(part):
         ran_on.add(threading.get_ident())
-        for i in range(lo, hi):
-            hits[i] += 1
+        part += 1
 
     with _crew.helper(True) as pool:
         try:
             blocker = pool.submit(release.wait, 10)
-            _crew.run(pool, 10, work)
+            assert _crew.halves(pool, work, hits)
             held = not blocker.done()
         finally:
             release.set()
-    assert held, "run waited for the held pool thread"
-    assert hits == [1] * 10
+    assert held, "halves waited for the held pool thread"
+    assert (hits == 1).all()
     assert ran_on == {caller}
+
+
+def test_crew_halves_raise_the_lower_error_once_both_halves_end():
+    caller = threading.get_ident()
+    started = threading.Event()
+    ended = []
+
+    def both_raise(part):
+        if threading.get_ident() != caller:
+            started.set()
+            raise ArithmeticError("upper half")
+        assert started.wait(10), "the helper never started its half"
+        raise ArithmeticError("lower half")
+
+    def lower_raises(part):
+        if threading.get_ident() != caller:
+            started.set()
+            time.sleep(0.05)  # still running when the caller's half raises
+            ended.append(part[0])
+            return
+        assert started.wait(10), "the helper never started its half"
+        raise ArithmeticError("lower half")
+
+    threads = threading.active_count()
+    bufsize = np.getbufsize()
+    np.setbufsize(4096)
+    try:
+        with np.errstate(divide="raise", over="warn", under="ignore", invalid="raise"):
+            err = np.geterr()
+            for work, upper_ended in ((both_raise, []), (lower_raises, [2])):
+                started.clear()
+                ended.clear()
+                with _crew.helper(True) as pool:
+                    with pytest.raises(ArithmeticError, match="lower half"):
+                        _crew.halves(pool, work, np.arange(4))
+                    assert ended == upper_ended  # before the executor's join
+                assert (np.getbufsize(), np.geterr(), threading.active_count()) == (4096, err, threads)
+    finally:
+        np.setbufsize(bufsize)
 
 
 def test_whole_level_kernels_hold_one_level_array_under_many_cpus(monkeypatch):
