@@ -533,6 +533,11 @@ def graph_law(n: int, schedule: RateSchedule, *, cap: int | None = None) -> np.n
     """
     _law_cap(n, cap)
     rates, _ = _graph_rates(schedule, n)
+    return _law(n, rates)
+
+
+def _law(n: int, rates: list[float]) -> np.ndarray:
+    """The law of every graph on [n] under the size rates ``rates``."""
     return _transform(n, rates, (1 << n * (n - 1) // 2) - 1, _moebius_law)
 
 
@@ -589,11 +594,14 @@ def _conditional_setup(subset: int, graph: Graph, schedule: RateSchedule):
     rates = _size_rates(schedule, graph.n)
     presence = {a: _presence(rates[a.bit_count()]) for a in cliques}
     pmt = pair_masks(graph.n)
-    target = graph_to_edge_mask(graph)
-    denom = _cover_weight(cliques, presence, pmt, target)
-    if denom == 0.0:
+    return cliques, presence, pmt, graph_to_edge_mask(graph)
+
+
+def _positive(weight: float) -> float:
+    """The graph's cover weight ``weight``; ValueError when it is zero."""
+    if weight == 0.0:
         raise ValueError("graph has probability zero under this schedule")
-    return cliques, presence, pmt, target, denom
+    return weight
 
 
 def cluster_prob(subset: int, graph: Graph, schedule: RateSchedule) -> float:
@@ -607,7 +615,8 @@ def cluster_prob(subset: int, graph: Graph, schedule: RateSchedule) -> float:
             raise ValueError(
                 f"{elements_of(subset)} is not a clique of the graph, so it cannot be a cluster"
             )
-    cliques, presence, pmt, target, denom = _conditional_setup(subset, graph, schedule)
+    cliques, presence, pmt, target = _conditional_setup(subset, graph, schedule)
+    denom = _positive(_cover_weight(cliques, presence, pmt, target))
     rest = tuple(a for a in cliques if a != subset)
     numerator = presence[subset] * _cover_weight(rest, presence, pmt, target & ~pmt[subset])
     return numerator / denom
@@ -621,7 +630,7 @@ def coarse_cluster_prob(subset: int, graph: Graph, schedule: RateSchedule) -> fl
     is summed over the first superset clique present, so no term cancels and
     a small answer keeps its relative accuracy.
     """
-    cliques, presence, pmt, target, _ = _conditional_setup(subset, graph, schedule)
+    cliques, presence, pmt, target = _conditional_setup(subset, graph, schedule)
     supersets = tuple(a for a in cliques if mask_leq(subset, a))
     rest = tuple(a for a in cliques if not mask_leq(subset, a))
     some, none_present = 0.0, 1.0
@@ -630,7 +639,7 @@ def coarse_cluster_prob(subset: int, graph: Graph, schedule: RateSchedule) -> fl
         some += none_present * presence[a] * _cover_weight(rest + supersets[i + 1 :], presence, pmt, needed)
         none_present *= 1.0 - presence[a]
     none = none_present * _cover_weight(rest, presence, pmt, target)
-    return some / (some + none) if some else 0.0
+    return some / _positive(some + none)
 
 
 def classify_extension(
@@ -685,19 +694,26 @@ def classify_extension(
 def marginal_restriction_check(
     schedule: RateSchedule, m: int, n: int, *, cap: int | None = None
 ) -> float:
-    """Max over graphs G on [m] of |P_m(G) - sum of P_n over graphs restricting to G|.
+    """Max over graphs G on [m] of |P_m(G) - P(level-n graph restricted to [m] = G)|.
 
     Zero (to rounding) exactly when the schedule is consistent across levels.
-    Relies on edges inside [m] occupying the low bits of the edge mask.
+    The level-n process restricted to [m] is itself a subset process on [m]:
+    b is hit when some a with a & [m] = b is present, independently across b,
+    at the pushed rate Lambda(#b) = sum_j C(n - m, j) lambda_n(#b + j), which
+    ``math.fsum`` rounds correctly from its non-negative terms.  So the
+    restricted law is the level-m law at the pushed rates: the check builds
+    two level-m laws and no level-n array.  The level cap and the overflow
+    check of level n still apply.
     """
     import numpy as np
 
     if not 1 <= m < n:
         raise ValueError(f"need 1 <= m < n, got m={m}, n={n}")
     law_m = graph_law(m, schedule, cap=cap)
-    law_n = graph_law(n, schedule, cap=cap)
-    folded = law_n.reshape(-1, law_m.size).sum(axis=0)
-    return float(np.abs(folded - law_m).max())
+    _law_cap(n, cap)
+    rates, _ = _graph_rates(schedule, n)
+    pushed = [math.fsum(math.comb(n - m, j) * rates[s + j] for j in range(n - m + 1)) for s in range(m + 1)]
+    return float(np.abs(_law(m, pushed) - law_m).max())
 
 
 def _swap_axes(n: int, j: int, m: int) -> list[int]:

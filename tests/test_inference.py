@@ -432,6 +432,35 @@ def test_coarse_dominates_cluster():
                 ) + 1e-12
 
 
+def test_coarse_cluster_prob_zero_probability_graph():
+    # with only triples possible, a single-edge graph cannot occur
+    only_triples = TableSchedule({3: (0.0, 0.0, 0.0, 1.0)})
+    edge = Graph.from_edges(3, [(1, 2)])
+    with pytest.raises(ValueError, match="probability zero"):
+        coarse_cluster_prob(mask_of([1, 2], 3), edge, only_triples)
+
+
+def test_coarse_cluster_prob_skips_the_full_cover_walk(monkeypatch):
+    # some + none is the graph's weight, so the walk over every clique with
+    # the full target is not run when a clique contains the subset
+    walks = []
+    cover_weight = inference._cover_weight
+
+    def recording(cliques, presence, pair_mask, target):
+        walks.append((cliques, target))
+        return cover_weight(cliques, presence, pair_mask, target)
+
+    monkeypatch.setattr(inference, "_cover_weight", recording)
+    schedule = GeometricSchedule(alpha=0.5)
+    triangle_and_path = Graph.from_edges(5, [(1, 2), (1, 3), (2, 3), (3, 4), (4, 5)])
+    for graph in [TRIANGLE, complete_graph(4), triangle_and_path]:
+        full = (clique_set(graph), graph_to_edge_mask(graph))
+        for clique in clique_set(graph):
+            walks.clear()
+            coarse_cluster_prob(clique, graph, schedule)
+            assert walks and full not in walks
+
+
 @pytest.mark.parametrize("alpha, c", [(1e-3, 1e6), (1e-6, 1e12), (1e-8, 1e16)])
 def test_coarse_cluster_prob_keeps_small_answers_relative(alpha, c):
     # the triangle itself is its only superset clique, so covering it and
@@ -665,6 +694,48 @@ def test_marginal_restriction_consistent_schedules():
 
 def test_marginal_restriction_flags_inconsistency():
     assert marginal_restriction_check(constant_table(3, 0.3), 2, 3) > 0.01
+
+
+def fold_discrepancy(schedule, m, n):
+    # the restriction marginal summed from the level-n law: edges inside [m]
+    # occupy the low C(m, 2) bits of the edge mask
+    folded = graph_law(n, schedule).reshape(-1, 2 ** math.comb(m, 2)).sum(0)
+    return np.abs(folded - graph_law(m, schedule)).max()
+
+
+def test_marginal_restriction_equals_level_n_fold():
+    rng = random.Random(67)
+    schedules = [random_schedule(rng) for _ in range(4)] + [constant_table(6, 0.3)]
+    schedules += [TableSchedule({k: tuple(rng.uniform(0.0, 2.0) for _ in range(k + 1)) for k in range(7)})]
+    for schedule in schedules:
+        for n in range(2, 7):
+            for m in range(1, n):
+                check = marginal_restriction_check(schedule, m, n)
+                assert abs(check - fold_discrepancy(schedule, m, n)) <= 1e-12, (schedule, m, n)
+
+
+def test_marginal_restriction_builds_no_level_n_array():
+    schedule = GeometricSchedule(alpha=0.5)
+    level_bytes = (1 << 21) * 8
+    tracemalloc.start()
+    try:
+        marginal_restriction_check(schedule, 6, 7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.1 * level_bytes, f"peak {peak / level_bytes:.3f} x the level-7 law"
+
+
+def test_marginal_restriction_keeps_level_n_cap_and_overflow():
+    schedule = GeometricSchedule(alpha=0.5)
+    with pytest.raises(ResourceCapError):
+        marginal_restriction_check(schedule, 7, 8)
+    with pytest.raises(ResourceCapError):
+        marginal_restriction_check(schedule, 5, 6, cap=5)
+    assert marginal_restriction_check(schedule, 2, 8, cap=8) < 1e-12
+    overflowing = TableSchedule({2: (0.0, 0.0, 1.0), 3: (0.0, 0.0, 1e308, 1e308)})
+    with pytest.raises(ValueError, match="level 3"):
+        marginal_restriction_check(overflowing, 2, 3)
 
 
 def test_marginal_restriction_argument_errors():
