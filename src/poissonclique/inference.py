@@ -28,14 +28,10 @@ complements.  Two computation paths are used:
   of a graph short of complete comes from halvings of the clique cells, and
   reads its one cell by halving passes, the low ones on the same row tiles.
   The passes run with NumPy's ufunc buffer at 1024 elements, restored
-  afterwards, so runs of 1024-2048 cells are not copied through it.  Every
-  pass but the one over the top index bit pairs cells inside one half of the
-  cube, so when the process may run on two CPUs and the level has at least
-  16 tiles (n >= 7), the caller and the thread of a one-thread executor
-  opened and joined within the call (``_crew.helper``) each run the tile
-  loop and the whole-array passes on one half, and split the pass over the
-  top bit by halves again.  Each cell still sees the same float operations,
-  in the same order, as the plain per-bit butterfly.
+  afterwards, so runs of 1024-2048 cells are not copied through it.  From
+  n = 7 on, a helper thread may take one half of the cube (see ``_helper``
+  and ``_halves``).  Each cell still sees the same float operations, in the
+  same order, as the plain per-bit butterfly.
 
 Subsets of cardinality <= 1 never affect the graph; they are marginalized out of
 every graph computation and cancel from every conditional ratio.
@@ -51,10 +47,12 @@ queries and the conditionals run without loading it.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import math
 import operator
+import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Mapping, TypeVar
 
@@ -271,11 +269,10 @@ def _passes(x: np.ndarray, positions: range, op: np.ufunc, width: int = 1) -> No
 
 
 def _top_pass(pool: ThreadPoolExecutor | None, x: np.ndarray, op: np.ufunc) -> None:
-    """``_passes`` over the top index bit of ``x``, split by halves of each
-    operand between the threads of ``pool`` (see ``_crew.halves``)."""
-    from ._crew import halves
-
-    halves(pool, lambda lo, hi: op(hi, lo, out=hi), *x.reshape(2, -1))
+    """``_passes`` over the top index bit of ``x``, none on one cell, by
+    ``_halves`` of each operand."""
+    if x.size > 1:
+        _halves(pool, lambda lo, hi: op(hi, lo, out=hi), *x.reshape(2, -1))
 
 
 def _log_cumulative_law(n: int, rates: list[float], edges: int, pool: ThreadPoolExecutor | None) -> _Transform:
@@ -300,17 +297,14 @@ def _log_cumulative_law(n: int, rates: list[float], edges: int, pool: ThreadPool
     then scattered into the natural layout; every other row stays 0.0, as the
     butterfly leaves it.  The cliques inside ``edges``, their compacted keys
     and their columns come from array arithmetic on the pair masks, and one
-    fancy assignment places the rates.  The passes over bits k .. c - 1 then
-    run on one row tile at a time (see ``_row_tiles``), and only the bits
-    from c on sweep the whole array: 4 of 21 at n = 7, none at n <= 6.  With
-    a ``pool``, each thread runs these passes on one half of the cube, below
-    and above its top bit, and the pass over the top bit is split again (see
-    ``_crew.halves``).  Bits are processed in order 0 .. nbits - 1, so every
-    cell is bit-identical to the plain per-bit butterfly.
+    fancy assignment places the rates.  The passes over bits k .. c - 1 below
+    the top bit then run on one row tile at a time (see ``_row_tiles``), and
+    only the bits from c on sweep the whole array: 4 of 21 at n = 7, none at
+    n <= 6.  The passes below the top bit run by ``_halves`` of the cube, then
+    the top pass.  Bits are processed in order 0 .. nbits - 1, so every cell is
+    bit-identical to the plain per-bit butterfly.
     """
     import numpy as np
-
-    from ._crew import halves
 
     pmt = pair_masks(n)
     level_bits = n * (n - 1) // 2
@@ -334,11 +328,11 @@ def _log_cumulative_law(n: int, rates: list[float], edges: int, pool: ThreadPool
     def half(part: np.ndarray) -> None:
         natural = part.reshape(-1, 1 << k)
         for r in range(0, len(natural), step):
-            _passes(natural[r : r + step], range(k, c), np.add)
-        _passes(part, range(c, part.size.bit_length() - 1), np.add)
+            _passes(natural[r : r + step], range(k, min(c, nbits - 1)), np.add)
+        _passes(part, range(c, nbits - 1), np.add)
 
-    if halves(pool, half, law):
-        _top_pass(pool, law, np.add)
+    _halves(pool, half, law)
+    _top_pass(pool, law, np.add)
     if nbits == level_bits:
         return law, float(law[-1]), pool
     return law, _full_cell(keys, values, level_bits), pool
@@ -385,28 +379,80 @@ def _row_tiles(nbits: int) -> tuple[int, int, int]:
     c = k + the trailing zero bits of that count.  Tiles start at multiples of
     it, and a pass over bit p pairs cells only inside one aligned block of
     2^(p + 1) cells, so the passes over bits k .. c - 1 pair cells inside one
-    tile.
-
-    A helper thread takes the upper half of the cube, above its top index bit
-    (see ``_shared``), when the process may run on two CPUs and the cube has
-    at least 16 tiles, so that each half holds whole tiles and the two
-    threads' tile buffers stay within 1/8 of the cube: from n = 7 (16 tiles)
-    on, never at n <= 6 (one tile).
+    tile.  How the tiles are shared between threads: see ``_helper``.
     """
     k = nbits // 2
     step = max(1, min(_TILE_CELLS >> k, 1 << nbits - k))
     return k, step, k + (step & -step).bit_length() - 1
 
 
-def _shared(nbits: int) -> bool:
-    """Whether a helper thread takes the upper half of a cube of 2^nbits
-    cells while the caller runs the lower half (see ``_row_tiles``)."""
-    k, step, _ = _row_tiles(nbits)
-    if (1 << nbits - k) // step < 16:
-        return False
-    from ._crew import cpus
+def _cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
-    return cpus() >= 2
+
+def _helper(nbits: int) -> contextlib.AbstractContextManager[ThreadPoolExecutor | None]:
+    """A one-thread executor for ``_halves`` of a cube of 2^nbits cells, else
+    a context that holds None.
+
+    Every pass but the one over the cube's top index bit pairs cells inside
+    one half of it, and NumPy releases the GIL inside each ufunc, so a helper
+    thread can run a kernel's passes on the upper half, above the top bit,
+    while the caller runs them on the lower half; the two then split the top
+    pass by halves of its operands (``_top_pass``).  It opens when the process
+    may run on two CPUs and the cube has at least 16 row tiles, so that each
+    half holds whole tiles and the two threads' tile buffers stay within 1/8
+    of the cube: from n = 7 (16 tiles) on, never at n <= 6 (one tile).  The
+    thread starts with the first job and is joined on exit, so none outlives
+    the ``with`` block, and ``concurrent.futures`` (which imports ``logging``)
+    is imported only here.  NumPy keeps the ufunc buffer size and the
+    floating-point error state per thread (1.x) or per context (2.x), so the
+    thread takes the caller's, as they are when the helper is opened.
+    """
+    k, step, _ = _row_tiles(nbits)
+    if (1 << nbits - k) // step < 16 or _cpus() < 2:
+        return contextlib.nullcontext()
+    from concurrent.futures import ThreadPoolExecutor
+
+    import numpy as np
+
+    bufsize, err = np.getbufsize(), np.geterr()
+
+    def adopt() -> None:
+        np.setbufsize(bufsize)
+        np.seterr(**err)
+
+    return ThreadPoolExecutor(1, initializer=adopt)
+
+
+def _halves(pool: ThreadPoolExecutor | None, work: Callable[..., object], *arrays: np.ndarray) -> None:
+    """``work(*arrays)`` on the caller if ``pool`` is None.
+
+    Otherwise ``work`` runs once on the lower halves of the flat ``arrays``,
+    on the caller, and once on their upper halves, on the ``pool``'s thread
+    if that thread has started them by the time the caller is done, else on
+    the caller too: the caller never waits for the thread to take up the
+    job.  Once both halves are done, an error in either is raised in the
+    caller, the lower half's if both raise.
+    """
+    if pool is None:
+        work(*arrays)
+        return
+    lower, upper = zip(*(a.reshape(2, -1) for a in arrays))
+    share = pool.submit(work, *upper)
+    try:
+        work(*lower)
+    except BaseException:
+        if not share.cancel():  # the pool thread took up the job
+            share.exception()
+        raise
+    if share.cancel():
+        work(*upper)
+    else:
+        share.result()
 
 
 def _moebius_law(transform: _Transform) -> np.ndarray:
@@ -418,18 +464,16 @@ def _moebius_law(transform: _Transform) -> np.ndarray:
     transposed into the buffer, low bits on axis 0, as it takes the
     subtraction of T(full); there it takes the exp and the passes over the
     low k bits in runs of at least one cell per tile row, is copied back, and
-    takes the passes over bits k .. c - 1 while it is in cache.  Only the
-    bits from c on sweep the whole array.  With a ``pool``, each thread runs
-    all of this on one half of the cube, below and above its top bit, and
-    the pass over the top bit is split again.  Every cell still sees its
+    takes the passes over bits k .. c - 1 below the top bit while it is in
+    cache.  Only the bits from c on sweep the whole array.  All of this runs
+    by ``_halves`` of the cube, then the top pass.  Every cell still sees its
     operations in bit order 0 .. nbits - 1.
     """
     import numpy as np
 
-    from ._crew import halves
-
     law, total, pool = transform
-    k, step, c = _row_tiles(law.size.bit_length() - 1)
+    nbits = law.size.bit_length() - 1
+    k, step, c = _row_tiles(nbits)
 
     def half(part: np.ndarray) -> None:
         rows = part.reshape(-1, 1 << k)
@@ -441,11 +485,11 @@ def _moebius_law(transform: _Transform) -> np.ndarray:
             np.exp(tile, out=tile)
             _passes(tile, range(k), np.subtract, len(natural))
             np.copyto(natural, tile.T)
-            _passes(natural, range(k, c), np.subtract)
-        _passes(part, range(c, part.size.bit_length() - 1), np.subtract)
+            _passes(natural, range(k, min(c, nbits - 1)), np.subtract)
+        _passes(part, range(c, nbits - 1), np.subtract)
 
-    if halves(pool, half, law):
-        _top_pass(pool, law, np.subtract)
+    _halves(pool, half, law)
+    _top_pass(pool, law, np.subtract)
     return law
 
 
@@ -456,16 +500,12 @@ def _moebius_cell(transform: _Transform) -> float:
     are all that the last cell reads after pass p, so each subtraction is the
     butterfly's own: 2^nbits cells of work.  The subtraction of T(full), the
     exp and the low k halvings run on one row tile at a time, leaving one
-    value per row, and the high halvings run on those.  With a ``pool``, each
-    thread takes the tiles of one half of the cube, below and above its top
-    bit, and the matching half of the row values.  A tile takes the
-    subtraction in its thread's buffer, which frees the tile's own cells of
-    T, and its halvings write into these two spaces in turn, so they
-    allocate nothing.
+    value per row, by ``_halves`` of the cube and of the row values, and the
+    high halvings run on those.  A tile takes the subtraction in its thread's
+    buffer, which frees the tile's own cells of T, and its halvings write
+    into these two spaces in turn, so they allocate nothing.
     """
     import numpy as np
-
-    from ._crew import halves
 
     law, total, pool = transform
     k, step, _ = _row_tiles(law.size.bit_length() - 1)
@@ -486,7 +526,7 @@ def _moebius_cell(transform: _Transform) -> float:
                 tile, spare = halved, tile.reshape(-1)
             sums[r : r + step] = tile[:, 0]
 
-    halves(pool, half, law, x)
+    _halves(pool, half, law, x)
     while x.size > 1:
         x = x[1::2] - x[0::2]
     return float(x[0])
@@ -495,16 +535,13 @@ def _moebius_cell(transform: _Transform) -> float:
 def _transform(n: int, rates: list[float], edges: int, moebius: Callable[[_Transform], _T]) -> _T:
     """``moebius`` applied to the log cumulative law of the graphs inside
     ``edges``, with NumPy's ufunc buffer at ``_PASS_BUFSIZE`` for the passes
-    and restored afterwards, and the cube split by its top bit with a helper
-    thread when ``_shared``, joined before this returns."""
+    and restored afterwards, and a ``_helper`` joined before this returns."""
     import numpy as np
-
-    from ._crew import helper
 
     bufsize = np.getbufsize()
     np.setbufsize(_PASS_BUFSIZE)
     try:
-        with helper(_shared(edges.bit_count())) as pool:
+        with _helper(edges.bit_count()) as pool:
             return moebius(_log_cumulative_law(n, rates, edges, pool))
     finally:
         np.setbufsize(bufsize)
@@ -520,13 +557,10 @@ def graph_law(n: int, schedule: RateSchedule, *, cap: int | None = None) -> np.n
     hold a clique only; the subtraction of T(full), the exp, the low-bit
     Moebius passes and the high-bit passes of both transforms that fit in a
     tile run on one cache-sized row tile at a time, and NumPy's ufunc buffer
-    size is set for the passes and restored afterwards.  From n = 7 on, when
-    the process may run on two CPUs, a helper thread runs every pass but the
-    top one on the upper half of the cube, above its top bit, while the
-    caller runs them on the lower half, and the two split the top pass by
-    halves again (see ``_crew.halves``); every cell is bit-identical to the
-    plain per-bit butterfly, whatever the thread count.  Cost
-    O(2^C(n,2) * C(n,2)) time, and memory for the returned array plus a
+    size is set for the passes and restored afterwards.  From n = 7 on, a
+    helper thread may take half of the cube (see ``_helper``); every cell is
+    bit-identical to the plain per-bit butterfly, whatever the thread count.
+    Cost O(2^C(n,2) * C(n,2)) time, and memory for the returned array plus a
     1 MiB tile per thread (n = 7: a 16 MiB law in about 20 ms on two CPUs,
     30 ms on one).
     Raises ValueError when the level's total rate overflows.
@@ -549,8 +583,8 @@ def graph_prob(graph: Graph, schedule: RateSchedule, *, cap: int | None = None) 
     E(G), as ``graph_law`` does, and reads the one cell at E(G) by halving
     Moebius passes, which make the butterfly's own subtractions for that cell;
     the subtraction of T(full), the exp and the low-bit halvings run one row
-    tile at a time, each half of the cube on one thread as in ``graph_law``, so
-    the cumulative law is the only array of its size (K7: 16 MiB, about 9 ms
+    tile at a time, threads as in ``graph_law`` (see ``_helper``), so the
+    cumulative law is the only array of its size (K7: 16 MiB, about 9 ms
     on two CPUs, 13 ms on one; K6 plus a pendant edge at n = 7: 512 KiB, one
     tile, about 0.6 ms).  It returns the same float as
     ``graph_law(n)[mask of G]``, and the level cap of ``graph_law`` applies.

@@ -1,3 +1,4 @@
+import contextlib
 import decimal
 import gc
 import itertools
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from poissonclique import _crew, inference
+from poissonclique import inference
 from poissonclique.inference import (
     CLIQUE_SUBSET_CAP,
     EXTENSION_MEMBERS_CAP,
@@ -842,7 +843,8 @@ def level_rates(schedule, n):
     return [schedule.rate(n, r) for r in range(n + 1)]
 
 
-@pytest.mark.parametrize("n", range(1, 8))
+# n = 0 and n = 1 are one-cell levels: no top index bit, so no top pass
+@pytest.mark.parametrize("n", range(0, 8))
 @pytest.mark.parametrize("schedule", EXACT_LAW_SCHEDULES, ids=repr)
 def test_graph_law_equals_butterfly_oracle(schedule, n):
     assert_same_bits(graph_law(n, schedule), butterfly_law(n, level_rates(schedule, n)))
@@ -981,6 +983,17 @@ def tiles_at(n, tile):
     return (1 << nbits) // max(1 << nbits // 2, cells)
 
 
+def helper_opens(nbits):
+    with inference._helper(nbits) as pool:
+        return pool is not None
+
+
+def forced_helper(monkeypatch):
+    # a helper for the n = 7 cube, whatever CPUs the process may run on
+    monkeypatch.setattr(inference, "_cpus", lambda: 2)
+    return inference._helper(21)
+
+
 @pytest.mark.parametrize("cpus", CPUS)
 @pytest.mark.parametrize(
     "n, tile",
@@ -989,15 +1002,16 @@ def tiles_at(n, tile):
 )
 @pytest.mark.parametrize("schedule", EXACT_LAW_SCHEDULES[:2], ids=repr)
 def test_kernel_bits_do_not_depend_on_the_worker_count(schedule, n, tile, cpus, monkeypatch):
-    monkeypatch.setattr(_crew, "cpus", lambda: cpus)
+    monkeypatch.setattr(inference, "_cpus", lambda: cpus)
     shares = []
-    helper = _crew.helper
+    helper = inference._helper
 
-    def recorded(share):
-        shares.append(share)
-        return helper(share)
+    def recorded(nbits):
+        opened = helper(nbits)
+        shares.append(not isinstance(opened, contextlib.nullcontext))
+        return opened
 
-    monkeypatch.setattr(_crew, "helper", recorded)
+    monkeypatch.setattr(inference, "_helper", recorded)
     test_kernel_subcubes_equal_butterfly_oracle(schedule, n, tile, monkeypatch)
     # the full cube has the most tiles; a sub-cube has at most as many
     assert any(shares) == (cpus >= 2 and tiles_at(n, tile) >= 16)
@@ -1005,14 +1019,14 @@ def test_kernel_bits_do_not_depend_on_the_worker_count(schedule, n, tile, cpus, 
 
 def test_helper_follows_the_cpus_and_the_tiles(monkeypatch):
     for cpus in CPUS:
-        monkeypatch.setattr(_crew, "cpus", lambda: cpus)
-        assert [inference._shared(n * (n - 1) // 2) for n in range(1, 9)] == [False] * 6 + [cpus >= 2] * 2
+        monkeypatch.setattr(inference, "_cpus", lambda: cpus)
+        assert [helper_opens(n * (n - 1) // 2) for n in range(1, 9)] == [False] * 6 + [cpus >= 2] * 2
 
 
 def test_kernel_workers_share_the_passes_and_their_errors(monkeypatch):
-    monkeypatch.setattr(_crew, "cpus", lambda: 2)
+    monkeypatch.setattr(inference, "_cpus", lambda: 2)
     caller = threading.get_ident()
-    halves = _crew.halves
+    halves = inference._halves
 
     def halves_after_the_helper(pool, work, *arrays):
         # the caller's half waits until the helper has started the other
@@ -1028,7 +1042,7 @@ def test_kernel_workers_share_the_passes_and_their_errors(monkeypatch):
 
         return halves(pool, work_after_the_helper, *arrays)
 
-    monkeypatch.setattr(_crew, "halves", halves_after_the_helper)
+    monkeypatch.setattr(inference, "_halves", halves_after_the_helper)
     schedule = GeometricSchedule(alpha=0.5)
     seen = []
     passes = inference._passes
@@ -1071,24 +1085,30 @@ def test_kernel_workers_share_the_passes_and_their_errors(monkeypatch):
         np.setbufsize(bufsize)
 
 
-def test_crew_runs_each_half_once_under_frequent_switches():
+def test_halves_runs_each_half_once_under_frequent_switches(monkeypatch):
     # four helpers at once, eight threads on fewer CPUs, and a switch
     # interval that lets the interpreter change threads between any two
-    # bytecodes: a half run twice or never shows in the counts, and a lost
-    # hand-over between the threads as a call that never returns
+    # bytecodes: a half run twice or never shows in the counts and the part
+    # sizes, and a lost hand-over between the threads as a call that never
+    # returns
+    monkeypatch.setattr(inference, "_cpus", lambda: 2)
+
     def jobs(failures):
         try:
-            with _crew.helper(True) as pool:
+            with inference._helper(21) as pool:
                 for size in [2] * 50 + [2000, 10]:
                     hits, other = np.zeros(size, int), np.zeros(size, int)
+                    sizes = []
 
                     def work(part, other_part):
+                        sizes.append((part.size, other_part.size))
                         time.sleep(1e-5)  # the half ends after the other has moved on
                         for i in range(part.size):
                             part[i] += 1
                             other_part[i] += 1
 
-                    assert _crew.halves(pool, work, hits, other)
+                    inference._halves(pool, work, hits, other)
+                    assert sizes == [(size // 2, size // 2)] * 2
                     if not (hits == 1).all() or not (other == 1).all():
                         failures.append((size, hits, other))
         except Exception as exc:  # reported by the main thread's assertion
@@ -1112,7 +1132,7 @@ def test_crew_runs_each_half_once_under_frequent_switches():
     assert threading.active_count() == threads
 
 
-def test_crew_caller_does_not_wait_for_a_helper_that_has_not_started():
+def test_halves_caller_does_not_wait_for_a_helper_that_has_not_started(monkeypatch):
     # the pool thread is held by another task, so the caller ends its half
     # before that thread takes up the job: the caller drops the thread's
     # share, runs the other half itself and returns, every cell hit once
@@ -1120,24 +1140,27 @@ def test_crew_caller_does_not_wait_for_a_helper_that_has_not_started():
     release = threading.Event()
     hits = np.zeros(10, int)
     ran_on = set()
+    sizes = []
 
     def work(part):
         ran_on.add(threading.get_ident())
+        sizes.append(part.size)
         part += 1
 
-    with _crew.helper(True) as pool:
+    with forced_helper(monkeypatch) as pool:
         try:
             blocker = pool.submit(release.wait, 10)
-            assert _crew.halves(pool, work, hits)
+            inference._halves(pool, work, hits)
             held = not blocker.done()
         finally:
             release.set()
     assert held, "halves waited for the held pool thread"
+    assert sizes == [5, 5]
     assert (hits == 1).all()
     assert ran_on == {caller}
 
 
-def test_crew_halves_raise_the_lower_error_once_both_halves_end():
+def test_halves_raise_the_lower_error_once_both_halves_end(monkeypatch):
     caller = threading.get_ident()
     started = threading.Event()
     ended = []
@@ -1167,9 +1190,9 @@ def test_crew_halves_raise_the_lower_error_once_both_halves_end():
             for work, upper_ended in ((both_raise, []), (lower_raises, [2])):
                 started.clear()
                 ended.clear()
-                with _crew.helper(True) as pool:
+                with forced_helper(monkeypatch) as pool:
                     with pytest.raises(ArithmeticError, match="lower half"):
-                        _crew.halves(pool, work, np.arange(4))
+                        inference._halves(pool, work, np.arange(4))
                     assert ended == upper_ended  # before the executor's join
                 assert (np.getbufsize(), np.geterr(), threading.active_count()) == (4096, err, threads)
     finally:
@@ -1178,8 +1201,8 @@ def test_crew_halves_raise_the_lower_error_once_both_halves_end():
 
 def test_whole_level_kernels_hold_one_level_array_under_many_cpus(monkeypatch):
     # 64 CPUs still share with one helper, one 1 MiB tile buffer each
-    monkeypatch.setattr(_crew, "cpus", lambda: 64)
-    assert inference._shared(21)
+    monkeypatch.setattr(inference, "_cpus", lambda: 64)
+    assert helper_opens(21)
     test_whole_level_kernels_hold_one_level_array()
 
 
