@@ -432,9 +432,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     cap_text = os.environ.get("POISSONCLIQUE_MAX_N")
     try:
-        cap = int(cap_text) if cap_text else None
-    except ValueError:
-        print(f"error: POISSONCLIQUE_MAX_N must be an integer, got {cap_text!r}", file=sys.stderr)
+        cap = _level(cap_text) if cap_text else None
+    except argparse.ArgumentTypeError as exc:
+        print(f"error: POISSONCLIQUE_MAX_N {exc}", file=sys.stderr)
         return 2
     try:
         for flag in JSON_FLAGS:

@@ -26,7 +26,8 @@ complements.  Two computation paths are used:
   transform's own last cell.  The clique-rich fallback of ``graph_prob``
   builds the cumulative law of the 2^|E(G)| graphs inside E(G), where T(full)
   of a graph short of complete comes from halvings of the clique cells, and
-  reads its one cell by halving passes, the low ones on the same row tiles.
+  reads its one cell by halvings (``_halved``) in T's own cells, the low ones
+  one row tile at a time.
   The passes run with NumPy's ufunc buffer at 1024 elements, restored
   afterwards, so runs of 1024-2048 cells are not copied through it.  From
   n = 7 on, a helper thread may take one half of the cube (see ``_helper``
@@ -207,15 +208,8 @@ def enumerate_monotone_covers(graph: Graph) -> CoverEnumeration:
 def family_point_prob(family: SubsetFamily, schedule: RateSchedule) -> float:
     """P(support = family): presence factors for members, survival for the rest."""
     rates = _size_rates(schedule, family.n)
-    present = 1.0
-    absent_rate = 0.0
-    for a in all_masks(family.n):
-        lam = rates[a.bit_count()]
-        if a in family.members:
-            present *= _presence(lam)
-        else:
-            absent_rate += lam
-    return present * math.exp(-absent_rate)
+    present = math.prod(_presence(rates[a.bit_count()]) for a in family.sorted_masks())
+    return present * interval_prob(family, schedule)
 
 
 def interval_prob(family: SubsetFamily, schedule: RateSchedule) -> float:
@@ -364,13 +358,18 @@ def _full_cell(keys: np.ndarray, values: np.ndarray, nbits: int) -> float:
 
     k = nbits // 2
     rows, x = _clique_columns(keys, values, k)
-    while len(x) > 1:
-        x = x[1::2] + x[0::2]
     sums = np.zeros(1 << nbits - k)
-    sums[rows] = x[0]
-    while sums.size > 1:
-        sums = sums[1::2] + sums[0::2]
-    return float(sums[0])
+    sums[rows] = _halved(x, np.add, 0)
+    return float(_halved(sums, np.add, 0))
+
+
+def _halved(x: np.ndarray, op: np.ufunc, axis: int) -> np.ndarray:
+    """``x`` halved over ``axis`` by ``op(odd, even)`` down to one entry, that
+    axis dropped: the butterfly's own operations for its last cell."""
+    lead = (slice(None),) * axis
+    while x.shape[axis] > 1:
+        x = op(x[lead + (slice(1, None, 2),)], x[lead + (slice(0, None, 2),)])
+    return x[lead + (0,)]
 
 
 def _row_tiles(nbits: int) -> tuple[int, int, int]:
@@ -494,16 +493,15 @@ def _moebius_law(transform: _Transform) -> np.ndarray:
 
 
 def _moebius_cell(transform: _Transform) -> float:
-    """P(graph = every edge of the cube), the last cell of ``_moebius_law``.
+    """P(graph = every edge of the cube), the last cell of ``_moebius_law``,
+    overwriting T.
 
     The halving pass at bit p keeps the cells with bits 0 .. p set, and those
     are all that the last cell reads after pass p, so each subtraction is the
-    butterfly's own: 2^nbits cells of work.  The subtraction of T(full), the
-    exp and the low k halvings run on one row tile at a time, leaving one
-    value per row, by ``_halves`` of the cube and of the row values, and the
-    high halvings run on those.  A tile takes the subtraction in its thread's
-    buffer, which frees the tile's own cells of T, and its halvings write
-    into these two spaces in turn, so they allocate nothing.
+    butterfly's own: 2^nbits cells of work.  Each row tile takes the
+    subtraction of T(full) and the exp in its own cells of T, holding no
+    buffer, and its low k halvings leave one value per row, by ``_halves`` of
+    the cube and of the row values; the high halvings run on those.
     """
     import numpy as np
 
@@ -513,23 +511,14 @@ def _moebius_cell(transform: _Transform) -> float:
 
     def half(part: np.ndarray, sums: np.ndarray) -> None:
         rows = part.reshape(-1, 1 << k)
-        buf = np.empty(step << k)
         for r in range(0, len(rows), step):
-            natural = rows[r : r + step]
-            tile = buf[: natural.size].reshape(natural.shape)
-            np.subtract(natural, total, out=tile)
+            tile = rows[r : r + step]
+            np.subtract(tile, total, out=tile)
             np.exp(tile, out=tile)
-            spare = natural.reshape(-1)
-            while tile.shape[1] > 1:
-                halved = spare[: tile.size // 2].reshape(len(tile), -1)
-                np.subtract(tile[:, 1::2], tile[:, 0::2], out=halved)
-                tile, spare = halved, tile.reshape(-1)
-            sums[r : r + step] = tile[:, 0]
+            sums[r : r + step] = _halved(tile, np.subtract, 1)
 
     _halves(pool, half, law, x)
-    while x.size > 1:
-        x = x[1::2] - x[0::2]
-    return float(x[0])
+    return float(_halved(x, np.subtract, 0))
 
 
 def _transform(n: int, rates: list[float], edges: int, moebius: Callable[[_Transform], _T]) -> _T:
@@ -582,11 +571,11 @@ def graph_prob(graph: Graph, schedule: RateSchedule, *, cap: int | None = None) 
     cliques.  Otherwise builds the cumulative law of the 2^|E(G)| graphs inside
     E(G), as ``graph_law`` does, and reads the one cell at E(G) by halving
     Moebius passes, which make the butterfly's own subtractions for that cell;
-    the subtraction of T(full), the exp and the low-bit halvings run one row
-    tile at a time, threads as in ``graph_law`` (see ``_helper``), so the
-    cumulative law is the only array of its size (K7: 16 MiB, about 9 ms
-    on two CPUs, 13 ms on one; K6 plus a pendant edge at n = 7: 512 KiB, one
-    tile, about 0.6 ms).  It returns the same float as
+    the subtraction of T(full), the exp and the low-bit halvings run in T's
+    own cells, one row tile at a time, threads as in ``graph_law`` (see
+    ``_helper``), so the cumulative law is the only array of its size (K7:
+    16 MiB, about 9 ms on two CPUs, 13 ms on one; K6 plus a pendant edge at
+    n = 7: 512 KiB, one tile, about 0.6 ms).  It returns the same float as
     ``graph_law(n)[mask of G]``, and the level cap of ``graph_law`` applies.
     Raises ValueError when the level's total rate overflows.
     """

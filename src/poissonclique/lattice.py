@@ -205,14 +205,7 @@ class Permutation:
         return cls(tuple(range(1, n + 1)))
 
     def apply_to_mask(self, mask: int) -> int:
-        out = 0
-        i = 1
-        while mask:
-            if mask & 1:
-                out |= 1 << (self.images[i - 1] - 1)
-            mask >>= 1
-            i += 1
-        return out
+        return sum(1 << self.images[i - 1] - 1 for i in elements_of(mask))
 
 
 # ---------------------------------------------------------------------------

@@ -454,11 +454,12 @@ def test_env_cap_override(capsys, monkeypatch):
         ["check-consistency", "--schedule", GEOM_HALF, "--n", "3"], capsys
     )
     assert code == 3
-    monkeypatch.setenv("POISSONCLIQUE_MAX_N", "what")
-    code, _, err = run_cli(
-        ["check-consistency", "--schedule", GEOM_HALF, "--n", "3"], capsys
-    )
-    assert code == 2
+    for text in ("what", "-1"):
+        monkeypatch.setenv("POISSONCLIQUE_MAX_N", text)
+        code, _, err = run_cli(
+            ["check-consistency", "--schedule", GEOM_HALF, "--n", "3"], capsys
+        )
+        assert code == 2
 
 
 def test_failed_allocation_exit_code(capsys, monkeypatch):
