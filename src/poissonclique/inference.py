@@ -574,8 +574,8 @@ def graph_prob(graph: Graph, schedule: RateSchedule, *, cap: int | None = None) 
     the subtraction of T(full), the exp and the low-bit halvings run in T's
     own cells, one row tile at a time, threads as in ``graph_law`` (see
     ``_helper``), so the cumulative law is the only array of its size (K7:
-    16 MiB, about 9 ms on two CPUs, 13 ms on one; K6 plus a pendant edge at
-    n = 7: 512 KiB, one tile, about 0.6 ms).  It returns the same float as
+    16 MiB, about 9-18 ms on two CPUs, 11-16 ms on one; K6 plus a pendant edge
+    at n = 7: 512 KiB, one tile, about 0.6-1.2 ms).  It returns the same float as
     ``graph_law(n)[mask of G]``, and the level cap of ``graph_law`` applies.
     Raises ValueError when the level's total rate overflows.
     """

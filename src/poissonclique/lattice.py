@@ -1,6 +1,7 @@
 """Bitmask toolkit for the three nested structures the generative model walks through:
-subset families, their least monotone covers (kept as antichains of maximal
-elements), and the graphs obtained by projecting each maximal element to a clique.
+subset families, their least monotone covers (each a ``GeneratingClass``: the
+family of its maximal elements, pairwise incomparable), and the graphs obtained
+by projecting each maximal element to a clique.
 
 Conventions
 -----------
@@ -115,41 +116,25 @@ class SubsetFamily:
 
 
 @dataclass(frozen=True)
-class GeneratingClass:
-    """An antichain of subsets: the maximal elements determining a monotone set.
+class GeneratingClass(SubsetFamily):
+    """An antichain ``SubsetFamily``: the maximal elements determining a monotone set.
 
     The empty antichain is the minimal monotone set; the antichain {[n]} is the
-    maximal one.  The downward closure is never materialized.
+    maximal one.  The downward closure is never materialized, so a family function
+    sees the maximal members only; the monotone order is ``leq_generating_class``.
     """
 
-    n: int
-    maximal: frozenset[int]
-
     def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValueError("ground-set size must be non-negative")
-        top = full_mask(self.n)
-        for a in self.maximal:
-            if a & ~top:
-                raise ValueError(f"element {elements_of(a)} exceeds ground set [{self.n}]")
-        for a, b in itertools.combinations(self.maximal, 2):
+        super().__post_init__()
+        for a, b in itertools.combinations(self.members, 2):
             if mask_leq(a, b) or mask_leq(b, a):
                 raise ValueError(
                     f"not an antichain: {elements_of(a)} and {elements_of(b)} are comparable"
                 )
 
-    @classmethod
-    def from_sets(cls, n: int, sets: Iterable[Iterable[int]]) -> "GeneratingClass":
-        return cls(n, frozenset(mask_of(s, n) for s in sets))
-
-    def sorted_masks(self) -> tuple[int, ...]:
-        return tuple(sorted(self.maximal))
-
-    def member_sets(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(elements_of(a) for a in self.sorted_masks())
-
-    def __len__(self) -> int:
-        return len(self.maximal)
+    @property
+    def maximal(self) -> frozenset[int]:
+        return self.members
 
 
 @dataclass(frozen=True)
@@ -177,9 +162,6 @@ class Graph:
 
     def sorted_edges(self) -> tuple[tuple[int, int], ...]:
         return tuple(sorted(self.edges))
-
-    def has_edge(self, i: int, j: int) -> bool:
-        return (min(i, j), max(i, j)) in self.edges
 
     def __len__(self) -> int:
         return len(self.edges)
@@ -248,22 +230,17 @@ def restrict_generating_class(gc: GeneratingClass, m: int) -> GeneratingClass:
     Restriction can make previously incomparable elements comparable, so a
     fresh maximal-element pass is required.
     """
-    if not 1 <= m <= gc.n:
-        raise ValueError(f"restriction target {m} outside 1..{gc.n}")
-    top = full_mask(m)
-    return GeneratingClass(m, maximal_masks(a & top for a in gc.maximal))
+    return GeneratingClass(m, maximal_masks(restrict_family(gc, m).members))
 
 
 def permute_generating_class(gc: GeneratingClass, sigma: Permutation) -> GeneratingClass:
-    if sigma.n != gc.n:
-        raise ValueError(f"permutation size {sigma.n} != ground-set size {gc.n}")
-    return GeneratingClass(gc.n, frozenset(sigma.apply_to_mask(a) for a in gc.maximal))
+    return GeneratingClass(gc.n, permute_family(gc, sigma).members)
 
 
 def clique_graph(gc: GeneratingClass) -> Graph:
     """Graph whose edge set is the union of cliques on the antichain elements."""
     edges = set()
-    for a in gc.maximal:
+    for a in gc.members:
         labels = elements_of(a)
         edges.update(itertools.combinations(labels, 2))
     return Graph(gc.n, frozenset(edges))
@@ -315,7 +292,7 @@ def leq_family(e1: SubsetFamily, e2: SubsetFamily) -> bool:
 def leq_generating_class(f1: GeneratingClass, f2: GeneratingClass) -> bool:
     """Monotone-set containment: each element of f1 lies below some element of f2."""
     _check_same_n(f1.n, f2.n)
-    return all(any(mask_leq(a, b) for b in f2.maximal) for a in f1.maximal)
+    return all(any(mask_leq(a, b) for b in f2.members) for a in f1.members)
 
 
 def leq_graph(g1: Graph, g2: Graph) -> bool:
@@ -390,4 +367,6 @@ def graph_to_edge_mask(graph: Graph) -> int:
 
 def edge_mask_to_graph(n: int, mask: int) -> Graph:
     pairs = edge_bit_pairs(n)
+    if not 0 <= mask < 1 << len(pairs):
+        raise ValueError(f"edge mask {mask} outside [0, 2^{len(pairs)}) for n = {n}")
     return Graph(n, frozenset(pairs[b] for b in range(len(pairs)) if mask >> b & 1))

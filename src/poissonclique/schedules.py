@@ -228,14 +228,11 @@ def derive_lower(top_row: Sequence[float]) -> TableSchedule:
     row = tuple(float(v) for v in top_row)
     if not row:
         raise ValueError("top row must contain at least the level-0 rate")
-    for v in row:
-        if not (math.isfinite(v) and v >= 0):
-            raise ValueError(f"rate {v} must be finite and non-negative")
     rows = {len(row) - 1: row}
     while len(row) > 1:
         row = tuple(row[r] + row[r + 1] for r in range(len(row) - 1))
         rows[len(row) - 1] = row
-    return TableSchedule(rows)
+    return TableSchedule(rows)  # checks every rate, top row first
 
 
 def require_real(value, what: str) -> float:

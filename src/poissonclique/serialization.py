@@ -92,8 +92,7 @@ def family_from_dict(doc: Mapping) -> SubsetFamily:
     return SubsetFamily(n, masks)
 
 
-def cover_to_dict(cover: GeneratingClass) -> dict:
-    return {"n": cover.n, "members": [list(s) for s in cover.member_sets()]}
+cover_to_dict = family_to_dict  # a cover is the family of its maximal members
 
 
 def cover_from_dict(doc: Mapping) -> GeneratingClass:

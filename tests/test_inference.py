@@ -108,6 +108,17 @@ def test_family_point_prob_normalizes():
         assert math.isclose(total, 1.0, abs_tol=1e-12)
 
 
+def test_family_point_prob_reads_a_cover_as_its_antichain():
+    # P(support = the antichain), not the law of the monotone set it generates
+    schedule = random_schedule(random.Random(13))
+    for code in range(1 << 8):
+        family = SubsetFamily(3, frozenset(a for a in range(8) if code >> a & 1))
+        cover = monotone_cover(family)
+        assert family_point_prob(cover, schedule) == family_point_prob(
+            SubsetFamily(3, cover.members), schedule
+        )
+
+
 def test_family_point_prob_matches_oracle():
     rng = random.Random(12)
     schedule = random_schedule(rng)

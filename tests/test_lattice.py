@@ -138,6 +138,34 @@ def test_generating_class_rejects_comparable_pair():
         gc(2, [1], [1, 2])
 
 
+def test_generating_class_is_a_family_of_its_maximal_members():
+    cover = gc(3, [1, 2], [3])
+    family = fam(3, [1, 2], [3])
+    assert isinstance(cover, SubsetFamily)
+    assert cover.members == family.members
+    assert cover.maximal == cover.members
+    assert cover.member_sets() == family.member_sets() == ((1, 2), (3,))
+    assert 0b011 in cover and len(cover) == 2
+    # the dataclass equality compares classes, so the two stay distinct keys
+    assert cover != family and family != cover
+    assert len({cover: 0, family: 1}) == 2
+
+
+def test_family_order_and_monotone_order_differ_on_a_class():
+    small, large = gc(3, [1, 2]), gc(3, [1, 2, 3])
+    assert not leq_family(small, large)
+    assert leq_generating_class(small, large)
+
+
+def test_generating_class_rejects_out_of_range_member():
+    with pytest.raises(ValueError, match="exceeds ground set"):
+        GeneratingClass(2, frozenset({0b100}))
+    with pytest.raises(ValueError):
+        GeneratingClass(-1, frozenset())
+    with pytest.raises(ValueError):
+        gc(2, [3])
+
+
 def test_restrict_generating_class_absorbs():
     assert restrict_generating_class(gc(3, [1, 2], [3]), 2) == gc(2, [1, 2])
 
@@ -346,6 +374,14 @@ def test_graph_edge_mask_roundtrip():
         pairs = [(i, j) for j in range(2, n + 1) for i in range(1, j) if rng.random() < 0.4]
         graph = Graph.from_edges(n, pairs)
         assert edge_mask_to_graph(n, graph_to_edge_mask(graph)) == graph
+
+
+def test_edge_mask_to_graph_rejects_masks_outside_level():
+    assert edge_mask_to_graph(3, 0b111) == Graph.from_edges(3, [(1, 2), (1, 3), (2, 3)])
+    assert edge_mask_to_graph(0, 0) == Graph(0, frozenset())
+    for n, mask in ((3, 1 << 3), (3, 1 << 5), (3, -1), (1, 1), (0, 1)):
+        with pytest.raises(ValueError):
+            edge_mask_to_graph(n, mask)
 
 
 def test_pair_masks_match_clique_graph():

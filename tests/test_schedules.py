@@ -258,8 +258,9 @@ def test_derive_lower_matches_geometric_closed_form():
 def test_derive_lower_rejects_bad_rows():
     with pytest.raises(ValueError):
         derive_lower([])
-    with pytest.raises(ValueError):
-        derive_lower([0.5, -0.1])
+    for row in ([0.5, -0.1], [math.nan, 1], [math.inf, 0]):
+        with pytest.raises(ValueError):
+            derive_lower(row)
 
 
 def test_from_moment_measure():
