@@ -8,7 +8,10 @@ below reduces to sums of products of p(a) = 1 - e^{-lambda(#a)} and their
 complements.  Two computation paths are used:
 
 * per-graph: sum over subsets of cliques(G) whose pairwise edges exactly cover
-  E(G), as a memoized include/exclude walk; capped at CLIQUE_SUBSET_CAP cliques.
+  E(G), as a memoized include/exclude walk, up to CLIQUE_SUBSET_CAP cliques.
+  A graph with more cliques splits off one vertex (``_cell``), which needs the
+  whole laws one level down; the vertex step (``_positive_law``) builds them
+  from sums of non-negative terms, so no cell of this path cancels.
 * whole-level: the cumulative law P(graph <= e) = exp(T(e) - T(full)) with T(e)
   the total rate of cliques fitting inside e, computed by a subset-sum (zeta)
   transform over the edge lattice and inverted by a Moebius pass.  The zeta
@@ -23,16 +26,11 @@ complements.  Two computation paths are used:
   the subtraction of T(full), so that every low-bit pass streams long
   contiguous runs, takes the exp and the low edge-bit Moebius passes there,
   and is copied back for its in-tile high passes.  T(full) is the zeta
-  transform's own last cell.  The clique-rich fallback of ``graph_prob``
-  builds the cumulative law of the 2^|E(G)| graphs inside E(G), where T(full)
-  of a graph short of complete comes from halvings of the clique cells, and
-  reads its one cell by halvings (``_halved``) in T's own cells, the low ones
-  one row tile at a time.
-  The passes run with NumPy's ufunc buffer at 1024 elements, restored
-  afterwards, so runs of 1024-2048 cells are not copied through it.  From
-  n = 7 on, a helper thread may take one half of the cube (see ``_helper``
-  and ``_halves``).  Each cell still sees the same float operations, in the
-  same order, as the plain per-bit butterfly.
+  transform's own last cell.  The passes run with NumPy's ufunc buffer at
+  1024 elements, restored afterwards, so runs of 1024-2048 cells are not
+  copied through it.  From n = 7 on, a helper thread may take one half of the
+  cube (see ``_helper`` and ``_halves``).  Each cell still sees the same float
+  operations, in the same order, as the plain per-bit butterfly.
 
 Subsets of cardinality <= 1 never affect the graph; they are marginalized out of
 every graph computation and cancel from every conditional ratio.
@@ -60,18 +58,21 @@ from typing import TYPE_CHECKING, Callable, Mapping, TypeVar
 from .lattice import (
     GeneratingClass,
     Graph,
+    Permutation,
     ResourceCapError,
     SubsetFamily,
     all_masks,
     clique_graph,
     edge_bit_pairs,
     edge_index,
+    edge_mask_to_graph,
     elements_of,
     full_mask,
     graph_to_edge_mask,
     mask_leq,
     monotone_cover,
     pair_masks,
+    permute_graph,
     restrict_graph,
 )
 from .schedules import RateSchedule
@@ -117,9 +118,12 @@ def _presence(rate: float) -> float:
 
 def clique_set(graph: Graph) -> tuple[int, ...]:
     """Every vertex mask of cardinality >= 2 inducing a complete subgraph, ascending."""
-    em = graph_to_edge_mask(graph)
-    pmt = pair_masks(graph.n)
-    return tuple(a for a in all_masks(graph.n) if a.bit_count() >= 2 and pmt[a] & ~em == 0)
+    return _cliques(graph.n, graph_to_edge_mask(graph))
+
+
+def _cliques(n: int, edges: int) -> tuple[int, ...]:
+    pmt = pair_masks(n)
+    return tuple(a for a in all_masks(n) if a.bit_count() >= 2 and pmt[a] & ~edges == 0)
 
 
 def _cover_weight(
@@ -226,12 +230,17 @@ def interval_prob(family: SubsetFamily, schedule: RateSchedule) -> float:
 def _graph_rates(schedule: RateSchedule, n: int) -> tuple[list[float], float]:
     """lambda_n(0..n) and sum_r C(n, r) lambda_n(r) over r >= 2, which must be finite."""
     rates = _size_rates(schedule, n)
-    total = sum(math.comb(n, r) * rates[r] for r in range(2, n + 1))
+    total = _level_total(n, rates)
     if not math.isfinite(total):
         raise ValueError(
             f"level {n}: the total rate of subsets with at least two elements overflows ({total})"
         )
     return rates, total
+
+
+def _level_total(n: int, rates: list[float]) -> float:
+    """sum_r C(n, r) ``rates[r]`` over r = 2 .. n: the total rate at level n."""
+    return sum(math.comb(n, r) * rates[r] for r in range(2, n + 1))
 
 
 def _law_cap(n: int, cap: int | None) -> None:
@@ -269,51 +278,37 @@ def _top_pass(pool: ThreadPoolExecutor | None, x: np.ndarray, op: np.ufunc) -> N
         _halves(pool, lambda lo, hi: op(hi, lo, out=hi), *x.reshape(2, -1))
 
 
-def _log_cumulative_law(n: int, rates: list[float], edges: int, pool: ThreadPoolExecutor | None) -> _Transform:
+def _log_cumulative_law(n: int, rates: list[float], pool: ThreadPoolExecutor | None) -> _Transform:
     """The triple (T, T(full), ``pool``), where T - T(full) is log F(e) =
-    T(e) - T(full) for every graph e on [n] whose edges lie inside ``edges``,
-    F(e) = P(graph <= e); index bit i of T carries the i-th set bit of
-    ``edges``.  The consumer subtracts and takes the exp, one row tile at a
-    time, on the same ``pool``.
-
-    A zeta pass over an edge bit outside ``edges`` never writes a cell inside
-    it, and one over a bit inside reads only cells inside, so these cells of
-    the whole-level transform need only the cliques whose pairs lie inside
-    ``edges``, on compacted bits.  T(full) needs every clique.  On the full
-    cube it is the transform's own last cell.  On a sub-cube it is that cell
-    of the whole-level transform, by halvings of the clique cells (see
-    ``_full_cell``).
+    T(e) - T(full) for every graph e on [n], F(e) = P(graph <= e).  The
+    consumer subtracts and takes the exp, one row tile at a time, on the same
+    ``pool``.  T(full) is the transform's own last cell.
 
     Before the zeta transform at most 2^n - n - 1 cells are nonzero, and a pass
     over one of the low k = nbits // 2 bits adds only within a row of 2^k cells
     that share their high bits.  So the low passes run on one column per
     nonzero row, low bits on axis 0 so that runs are long, and the columns are
     then scattered into the natural layout; every other row stays 0.0, as the
-    butterfly leaves it.  The cliques inside ``edges``, their compacted keys
-    and their columns come from array arithmetic on the pair masks, and one
-    fancy assignment places the rates.  The passes over bits k .. c - 1 below
-    the top bit then run on one row tile at a time (see ``_row_tiles``), and
-    only the bits from c on sweep the whole array: 4 of 21 at n = 7, none at
-    n <= 6.  The passes below the top bit run by ``_halves`` of the cube, then
-    the top pass.  Bits are processed in order 0 .. nbits - 1, so every cell is
-    bit-identical to the plain per-bit butterfly.
+    butterfly leaves it.  The clique cells (their pair masks) and their
+    columns come from array arithmetic, and one fancy assignment places the
+    rates.  The passes over bits k .. c - 1 below the top bit then run on one
+    row tile at a time (see ``_row_tiles``), and only the bits from c on sweep
+    the whole array: 4 of 21 at n = 7, none at n <= 6.  The passes below the
+    top bit run by ``_halves`` of the cube, then the top pass.  Bits are
+    processed in order 0 .. nbits - 1, so every cell is bit-identical to the
+    plain per-bit butterfly.
     """
     import numpy as np
 
     pmt = pair_masks(n)
-    level_bits = n * (n - 1) // 2
-    bits = np.flatnonzero(edges >> np.arange(level_bits) & 1)
-    nbits = bits.size
+    nbits = n * (n - 1) // 2
     k, step, c = _row_tiles(nbits)
     # 0.0 + rate is the dense scatter's own addition (it turns -0.0 into 0.0)
     cells = {pmt[a]: 0.0 + rates[a.bit_count()] for a in all_masks(n) if a.bit_count() >= 2}
     keys = np.fromiter(cells, np.int64, len(cells))
-    values = np.fromiter(cells.values(), float, len(cells))
-
-    inside = keys & ~edges == 0
-    # bit i of a compacted key is edge bit bits[i] of the clique's pair mask
-    compact = ((keys[inside, None] >> bits & 1) << np.arange(nbits)).sum(axis=1)
-    rows, low = _clique_columns(compact, values[inside], k)
+    rows, column = np.unique(keys >> k, return_inverse=True)
+    low = np.zeros((1 << k, rows.size))
+    low[keys & (1 << k) - 1, column] = np.fromiter(cells.values(), float, len(cells))
     _passes(low, range(k), np.add, rows.size)
 
     law = np.zeros(1 << nbits)
@@ -327,49 +322,7 @@ def _log_cumulative_law(n: int, rates: list[float], edges: int, pool: ThreadPool
 
     _halves(pool, half, law)
     _top_pass(pool, law, np.add)
-    if nbits == level_bits:
-        return law, float(law[-1]), pool
-    return law, _full_cell(keys, values, level_bits), pool
-
-
-def _clique_columns(keys: np.ndarray, values: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The cells ``keys`` -> ``values`` of a cube seen as rows of 2^k cells,
-    on one column per row that holds a cell, low bits on axis 0: the rows, in
-    ascending order, and the (2^k, rows) array, 0.0 elsewhere."""
-    import numpy as np
-
-    rows, column = np.unique(keys >> k, return_inverse=True)
-    low = np.zeros((1 << k, rows.size))
-    low[keys & (1 << k) - 1, column] = values
-    return rows, low
-
-
-def _full_cell(keys: np.ndarray, values: np.ndarray, nbits: int) -> float:
-    """The last cell of the zeta transform of the cube of 2^nbits cells that
-    holds ``values`` at ``keys`` and 0.0 elsewhere.
-
-    After pass p only the cells with bits 0 .. p set feed the last cell, and
-    each is the sum of its two halves at bit p, odd + even.  So the clique
-    cells, one column per row of 2^k cells (k = nbits // 2), are halved over
-    the low bits, and the row sums, placed on the 2^(nbits - k) rows, over the
-    high bits: the butterfly's own additions for that cell, in its order.
-    """
-    import numpy as np
-
-    k = nbits // 2
-    rows, x = _clique_columns(keys, values, k)
-    sums = np.zeros(1 << nbits - k)
-    sums[rows] = _halved(x, np.add, 0)
-    return float(_halved(sums, np.add, 0))
-
-
-def _halved(x: np.ndarray, op: np.ufunc, axis: int) -> np.ndarray:
-    """``x`` halved over ``axis`` by ``op(odd, even)`` down to one entry, that
-    axis dropped: the butterfly's own operations for its last cell."""
-    lead = (slice(None),) * axis
-    while x.shape[axis] > 1:
-        x = op(x[lead + (slice(1, None, 2),)], x[lead + (slice(0, None, 2),)])
-    return x[lead + (0,)]
+    return law, float(law[-1]), pool
 
 
 def _row_tiles(nbits: int) -> tuple[int, int, int]:
@@ -492,46 +445,17 @@ def _moebius_law(transform: _Transform) -> np.ndarray:
     return law
 
 
-def _moebius_cell(transform: _Transform) -> float:
-    """P(graph = every edge of the cube), the last cell of ``_moebius_law``,
-    overwriting T.
-
-    The halving pass at bit p keeps the cells with bits 0 .. p set, and those
-    are all that the last cell reads after pass p, so each subtraction is the
-    butterfly's own: 2^nbits cells of work.  Each row tile takes the
-    subtraction of T(full) and the exp in its own cells of T, holding no
-    buffer, and its low k halvings leave one value per row, by ``_halves`` of
-    the cube and of the row values; the high halvings run on those.
-    """
-    import numpy as np
-
-    law, total, pool = transform
-    k, step, _ = _row_tiles(law.size.bit_length() - 1)
-    x = np.empty(law.size >> k)
-
-    def half(part: np.ndarray, sums: np.ndarray) -> None:
-        rows = part.reshape(-1, 1 << k)
-        for r in range(0, len(rows), step):
-            tile = rows[r : r + step]
-            np.subtract(tile, total, out=tile)
-            np.exp(tile, out=tile)
-            sums[r : r + step] = _halved(tile, np.subtract, 1)
-
-    _halves(pool, half, law, x)
-    return float(_halved(x, np.subtract, 0))
-
-
-def _transform(n: int, rates: list[float], edges: int, moebius: Callable[[_Transform], _T]) -> _T:
-    """``moebius`` applied to the log cumulative law of the graphs inside
-    ``edges``, with NumPy's ufunc buffer at ``_PASS_BUFSIZE`` for the passes
-    and restored afterwards, and a ``_helper`` joined before this returns."""
+def _transform(n: int, rates: list[float], moebius: Callable[[_Transform], _T]) -> _T:
+    """``moebius`` applied to the log cumulative law of the graphs on [n],
+    with NumPy's ufunc buffer at ``_PASS_BUFSIZE`` for the passes and restored
+    afterwards, and a ``_helper`` joined before this returns."""
     import numpy as np
 
     bufsize = np.getbufsize()
     np.setbufsize(_PASS_BUFSIZE)
     try:
-        with _helper(edges.bit_count()) as pool:
-            return moebius(_log_cumulative_law(n, rates, edges, pool))
+        with _helper(n * (n - 1) // 2) as pool:
+            return moebius(_log_cumulative_law(n, rates, pool))
     finally:
         np.setbufsize(bufsize)
 
@@ -561,34 +485,221 @@ def graph_law(n: int, schedule: RateSchedule, *, cap: int | None = None) -> np.n
 
 def _law(n: int, rates: list[float]) -> np.ndarray:
     """The law of every graph on [n] under the size rates ``rates``."""
-    return _transform(n, rates, (1 << n * (n - 1) // 2) - 1, _moebius_law)
+    return _transform(n, rates, _moebius_law)
 
 
 def graph_prob(graph: Graph, schedule: RateSchedule, *, cap: int | None = None) -> float:
-    """P(projected graph = graph), exactly.
+    """P(projected graph = graph), exactly, from sums of non-negative terms.
 
     Uses the clique-subset walk when the graph has at most CLIQUE_SUBSET_CAP
-    cliques.  Otherwise builds the cumulative law of the 2^|E(G)| graphs inside
-    E(G), as ``graph_law`` does, and reads the one cell at E(G) by halving
-    Moebius passes, which make the butterfly's own subtractions for that cell;
-    the subtraction of T(full), the exp and the low-bit halvings run in T's
-    own cells, one row tile at a time, threads as in ``graph_law`` (see
-    ``_helper``), so the cumulative law is the only array of its size (K7:
-    16 MiB, about 9-18 ms on two CPUs, 11-16 ms on one; K6 plus a pendant edge
-    at n = 7: 512 KiB, one tile, about 0.6-1.2 ms).  It returns the same float as
-    ``graph_law(n)[mask of G]``, and the level cap of ``graph_law`` applies.
-    Raises ValueError when the level's total rate overflows.
+    cliques.  Otherwise splits off the vertex whose neighbourhood spans the
+    fewest edges (see ``_cell``): that needs the whole laws at level n - 1,
+    built by the vertex step (``_positive_law``), or, when the neighbourhood
+    spans no edge, one cell a level down.  K7 takes about 3-5 ms with a
+    1.1 MiB ``tracemalloc`` peak; K6 plus a pendant edge at n = 7, about
+    0.4-0.7 ms and level-5 laws only; one thread either way.  The level cap
+    of ``graph_law`` applies to this path.  Raises ValueError when the
+    level's total rate overflows.
     """
-    cliques = clique_set(graph)
-    rates, total_rate = _graph_rates(schedule, graph.n)
-    if len(cliques) <= CLIQUE_SUBSET_CAP:
-        pmt = pair_masks(graph.n)
-        presence = {a: _presence(rates[a.bit_count()]) for a in cliques}
-        weight = _cover_weight(cliques, presence, pmt, graph_to_edge_mask(graph))
-        clique_rate = sum(rates[a.bit_count()] for a in cliques)
-        return math.exp(clique_rate - total_rate) * weight
-    _law_cap(graph.n, cap)
-    return _transform(graph.n, rates, graph_to_edge_mask(graph), _moebius_cell)
+    rates, total = _graph_rates(schedule, graph.n)
+    return _prob(graph.n, rates, total, graph_to_edge_mask(graph), clique_set(graph), cap)
+
+
+def _prob(
+    n: int, rates: list[float], total: float, edges: int, cliques: tuple[int, ...], cap: int | None = None
+) -> float:
+    """P(graph = ``edges``) on [n] under the size rates ``rates`` of level
+    total ``total``, given its ``cliques``: the clique walk up to
+    CLIQUE_SUBSET_CAP of them, else ``_cell`` under the level cap."""
+    if len(cliques) > CLIQUE_SUBSET_CAP:
+        _law_cap(n, cap)
+        return _cell(n, rates, edges)
+    pmt = pair_masks(n)
+    presence = {a: _presence(rates[a.bit_count()]) for a in cliques}
+    weight = _cover_weight(cliques, presence, pmt, edges)
+    clique_rate = sum(rates[a.bit_count()] for a in cliques)
+    return math.exp(clique_rate - total) * weight
+
+
+def _cell(n: int, rates: list[float], edges: int) -> float:
+    """P(graph = e) for the graph e = ``edges`` on [n], by splitting off one
+    vertex; every term is >= 0.
+
+    The law is exchangeable, so the vertex whose neighbourhood N spans the
+    fewest edges of e is relabelled n.  Let e' be the edges of e inside
+    [n - 1].  The subsets inside [n - 1] make a graph C' with the level-(n - 1)
+    law h at the rates lambda_n(r).  A subset b + {n} adds the edges (i, n),
+    i in b, and pairs(b), so e is hit exactly when every such b lies inside N,
+    the b's cover N and C' + D = e', D the union of pairs(b) over |b| >= 2.
+    Those b form a subset process on [n - 1] at the rates lambda_n(r + 1),
+    with graph law h'; a singleton b runs at rate lambda_n(2), present with
+    probability p1 and absent with s1.  So with g(D) = h'(D) *
+    p1^(vertices of N isolated in D) * s1^(n - 1 - |N|) for D inside E(e[N])
+    and Q(X) = sum of g(D) over D containing X (superset passes that add),
+    P = sum over C' of h(C') * Q(e' - C').  When E(e[N]) is empty that is one
+    term, h'(empty) * p1^|N| * s1^(n - 1 - |N|) * h(e'), and h(e') is one
+    cell a level down (``_prob``).
+    """
+    import numpy as np
+
+    pmt = pair_masks(n)
+    neighbours = [0] * (n + 1)
+    for b, (i, j) in enumerate(edge_bit_pairs(n)):
+        if edges >> b & 1:
+            neighbours[i] |= 1 << j - 1
+            neighbours[j] |= 1 << i - 1
+    v = min(range(n, 0, -1), key=lambda u: (pmt[neighbours[u]] & edges).bit_count())
+    if v != n:
+        swap = Permutation(tuple(n if x == v else v if x == n else x for x in range(1, n + 1)))
+        edges = graph_to_edge_mask(permute_graph(edge_mask_to_graph(n, edges), swap))
+    below = (n - 1) * (n - 2) // 2
+    lower, star = edges & (1 << below) - 1, edges >> below
+    inner, size = pmt[star] & lower, star.bit_count()
+    p1, outside = _presence(rates[2]), (n - 1 - size) * rates[2]
+    if not inner:
+        below_cell = _prob(n - 1, rates[:n], _level_total(n - 1, rates[:n]), lower, _cliques(n - 1, lower))
+        return math.exp(-outside - _level_total(n - 1, rates[1:])) * p1**size * below_cell
+    # every D inside E(e[N]), bit i of its position carrying the i-th edge of
+    # ``inner``: its edge mask and the vertices its edges touch
+    cells, touched = np.zeros(1, np.int32), np.zeros(1, np.uint8)
+    for b, (i, j) in enumerate(edge_bit_pairs(n - 1)):
+        if inner >> b & 1:
+            cells = np.concatenate((cells, cells | 1 << b))
+            touched = np.concatenate((touched, touched | 1 << i - 1 | 1 << j - 1))
+    factors = np.array([math.exp(-outside) * p1 ** (star & ~t).bit_count() for t in range(1 << n - 1)])
+    g = _positive_law(n - 1, rates[1:])[cells] * factors[touched]
+    for i in range(inner.bit_count()):
+        pairs = g.reshape(-1, 2, 1 << i)
+        pairs[:, 0] += pairs[:, 1]
+    terms = _positive_law(n - 1, rates[:n])[lower & ~inner | cells] * g[::-1]
+    while terms.size > 1:  # pairwise, the same float on every NumPy version
+        terms = terms[1::2] + terms[0::2]
+    return float(terms[0])
+
+
+# A clique whose rate passes ln 2 enters the vertex step by the normalized
+# update, so that every weight expm1(rate) of the others is at most 1
+_WEIGHT_RATE = math.log(2)
+
+
+def _positive_law(n: int, rates: list[float]) -> np.ndarray:
+    """The law of every graph on [n] under the size rates ``rates``, from sums
+    of non-negative terms: level m is built from level m - 1 by adding vertex
+    m (``_vertex_step``).  Used at levels <= 6, where it takes about 1 ms."""
+    import numpy as np
+
+    law = np.ones(1)
+    for m in range(2, n + 1):
+        law = _vertex_step(law, m, rates)
+    return law
+
+
+def _vertex_step(h: np.ndarray, m: int, rates: list[float]) -> np.ndarray:
+    """The level-m law from the level-(m - 1) law ``h``, both at ``rates``.
+
+    The edges (i, m) are the top m - 1 bits of the level-m index, so the law
+    J is rows R (the neighbours of m) by columns (graphs on [m - 1]).  Row 0
+    starts as h times the survival of every clique b + {m} with rate at most
+    ``_WEIGHT_RATE``; such a clique then adds w * X(J), w = expm1(rate), where
+    X(J) is J summed over the clique's pair bits K and placed in the cells
+    that hold all of K.  A clique of a larger rate takes the normalized update
+    J = s * J + p * X(J), s = exp(-rate), p = 1 - s.
+
+    Phase j, for j = 1 .. m - 1, adds the cliques whose largest vertex below
+    m is j.  It reads the rows L inside [j - 1], which it scales at most, and
+    writes the rows U that hold j and no larger vertex, empty until then.
+    The pair {j, m} sets U = w * L (or U = p * L, L = s * L).  Then
+    b' + {j, m}, b' a nonempty subset of [j - 1], is visited as a trie
+    (``_phase_plan``): the marginal M(b') of V = L + U over the bits K'(b')
+    of b' + {j, m} other than row j is its parent's marginal halved over the
+    bits that b' adds, a first-level node that of L + U.  Its add goes into
+    U's K'(b') corner, into the corner of every marginal on its path that is
+    read again, and into M(b') itself.
+    """
+    import numpy as np
+
+    nbits = m * (m - 1) // 2
+    below = nbits - (m - 1)
+    weighted = sum(math.comb(m - 1, k) * rates[k + 1] for k in range(1, m) if rates[k + 1] <= _WEIGHT_RATE)
+    law = np.zeros(1 << nbits)
+    np.multiply(h, math.exp(-weighted), out=law[: 1 << below])
+    # axis t carries index bit nbits - 1 - t; row bit i - 1 (vertex i) is axis m - 1 - i
+    cube = law.reshape((2,) * nbits)
+    factors = [_clique_factors(rate) for rate in rates[: m + 1]]
+    for j in range(1, m):
+        fixed = (0,) * (m - 1 - j)
+        # Ellipsis keeps a view where every axis is fixed (m = 2)
+        lower, upper = cube[fixed + (0, ...)], cube[fixed + (1, ...)]
+        coef, scale = factors[2]
+        np.multiply(lower, coef, out=upper)
+        if scale != 1.0:
+            lower *= scale
+        marginals: list = [None] * j
+        for depth, halvings, corner, kept, stored in _phase_plan(m, j):
+            x = lower + upper if depth == 1 else marginals[depth - 1]
+            for one, zero in halvings:
+                x = x[one] + x[zero]
+            marginals[depth] = x
+            coef, scale = factors[depth + 2]
+            if not coef:
+                continue
+            add = x * coef
+            if scale != 1.0:
+                for y in [lower, upper] + [marginals[a] for a, _ in kept]:
+                    y *= scale
+            elif stored:
+                x += add
+            upper[corner] += add
+            for a, rel in kept:
+                marginals[a][rel] += add
+    return law
+
+
+def _clique_factors(rate: float) -> tuple[float, float]:
+    """(w, 1.0) with w = expm1(rate) for a clique priced into row 0, else the
+    normalized update's (p, s)."""
+    if rate <= _WEIGHT_RATE:
+        return math.expm1(rate), 1.0
+    return -math.expm1(-rate), math.exp(-rate)
+
+
+@functools.lru_cache(maxsize=None)
+def _phase_plan(m: int, j: int) -> tuple:
+    """The trie of phase j of ``_vertex_step`` at level m, in depth-first
+    order: per node b' (children b' + {i}, i < min b'), its depth |b'|, the
+    (one, zero) indices that halve its parent's marginal over each bit b'
+    adds, its corner in U, the (depth, corner) of each marginal on its path
+    that a later node reads, and whether a child reads its own.  L and U
+    carry bit b on axis nr - 1 - b; a marginal drops the axes it sums, and
+    an index fixes bits and drops their axes, so every corner has the axes
+    of the add that goes into it.
+    """
+    below = (m - 1) * (m - 2) // 2
+    nr = below + j - 1
+
+    def at(summed: frozenset[int], bits: frozenset[int], value: int = 1) -> tuple:
+        index = [value if b in bits else slice(None) for b in range(nr - 1, -1, -1) if b not in summed]
+        while index and index[-1] == slice(None):
+            index.pop()
+        return (*index, ...)
+
+    plan = []
+
+    def visit(members: tuple[int, ...], summed: frozenset[int], kept: tuple) -> None:
+        depth, least = len(members), members[-1] if members else j
+        for i in range(1, least):
+            new = sorted({below + i - 1} | {edge_index(i, y) for y in members + (j,)})
+            bits = summed.union(new)
+            # a later child of this node reads its marginal
+            path = kept + ((depth, summed),) if depth and i < least - 1 else kept
+            halvings = tuple((at(bits.difference(new[t:]), {b}), at(bits.difference(new[t:]), {b}, 0))
+                             for t, b in enumerate(new))
+            rels = tuple((a, at(s, bits - s)) for a, s in path)
+            plan.append((depth + 1, halvings, at(frozenset(), bits), rels, i > 1))
+            visit(members + (i,), bits, path)
+
+    visit((), frozenset(), ())
+    return tuple(plan)
 
 
 def transitivity_conditional(schedule: RateSchedule) -> float:
@@ -753,27 +864,58 @@ def exchangeability_discrepancy(schedule: RateSchedule, n: int, *, cap: int | No
     """Max over relabelings sigma and graphs G of |P(G) - P(sigma G)| at level n.
 
     Relabelings form a group, so this is the largest spread of the law within
-    one isomorphism orbit: the max over G of P(G) minus the least P over G's
-    orbit.  Float subtraction is monotone, so the result is bit-identical to
-    the pairwise maximum over all n! relabelings.  Orbit minima are built along
-    the stabilizer chain S_2 < ... < S_n: S_m is the union of the cosets
-    S_{m-1} tau_{j,m}, j < m, where tau_{j,m} swaps vertices j and m, so level
-    m folds in the minimum at tau_{j,m} G.  A relabeling only reorders the
-    C(n,2) edge bits, so each tau_{j,m} is a transpose of the law viewed as a
-    (2,) * C(n,2) cube, folded in by one in-place minimum; NumPy computes
-    ufuncs on overlapping operands as if the input were copied first.  Cost:
-    n(n-1)/2 passes over the 2^C(n,2) cells, and memory for the law, its
-    orbit minima and one transposed copy; n = 7 takes about 0.3 s where n!
-    relabelings took about half an hour.  The cube needs one axis per edge,
-    and NumPy 1.x allows 32, so n <= 8; at n = 9 the law itself (2^36 cells)
-    cannot be allocated.
+    one isomorphism orbit: the max over orbits of the largest P minus the
+    least.  Float subtraction is monotone, so the result is bit-identical to
+    the pairwise maximum over all n! relabelings.  The orbits come from
+    ``_orbits(n)``, kept for the last n <= 7 it was called with; each call
+    then gathers the law in orbit order and takes one maximum and one minimum
+    per orbit.  Cost: one gather over the 2^C(n,2) cells, and memory for the
+    law and its gathered copy (n = 6: under 1 ms; n = 7: about 50 ms once the
+    orbits are built, which takes about 0.3 s the first time).  At n = 8 the
+    orbits (1 GiB) are built on every call and not kept.  The orbit fold
+    needs one cube axis per edge, and NumPy 1.x allows 32, so n <= 8; at
+    n = 9 the law itself (2^36 cells) cannot be allocated.
     """
     import numpy as np
 
-    law = graph_law(n, schedule, cap=cap)
-    lo = law.copy()
-    cube = lo.reshape((2,) * (n * (n - 1) // 2))
+    _law_cap(n, cap)
+    # before the law, so that the peak holds one law
+    order, starts = (_orbits if n <= 7 else _orbits.__wrapped__)(n)
+    x = graph_law(n, schedule, cap=cap)[order]
+    return float((np.maximum.reduceat(x, starts) - np.minimum.reduceat(x, starts)).max())
+
+
+@functools.lru_cache(maxsize=1)
+def _orbits(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The cells of the level-n law sorted by isomorphism orbit (``int32``),
+    and the position where each orbit starts.
+
+    Each cell's orbit is named by its least index, folded in along the
+    stabilizer chain S_2 < ... < S_n: S_m is the union of the cosets
+    S_{m-1} tau_{j,m}, j < m, where tau_{j,m} swaps vertices j and m, so
+    level m folds in the minimum at tau_{j,m} G.  A relabeling only reorders
+    the C(n,2) edge bits, so each tau_{j,m} is a transpose of the indices
+    viewed as a (2,) * C(n,2) cube, folded in by one in-place minimum; NumPy
+    computes ufuncs on overlapping operands as if the input were copied
+    first.  The orbits are then numbered in ``uint16`` (12,346 at n = 8), so
+    that a stable sort by number is a radix sort.  The layout is half a level
+    of ``int32``: 8 MiB at n = 7, 1 GiB at n = 8, which is why the cache
+    keeps one layout and ``exchangeability_discrepancy`` keeps none past 7.
+    """
+    import numpy as np
+
+    size = 1 << n * (n - 1) // 2
+    least = np.arange(size, dtype=np.int32)
+    cube = least.reshape((2,) * (n * (n - 1) // 2))
     for m in range(2, n + 1):
         for j in range(1, m):
             np.minimum(cube, cube.transpose(_swap_axes(n, j, m)), out=cube)
-    return float(np.subtract(law, lo, out=lo).max())
+    number = np.zeros(size, np.uint16)
+    least_cells = np.flatnonzero(least == np.arange(size, dtype=np.int32))
+    number[least_cells] = np.arange(least_cells.size)
+    number = number[least]
+    del least, cube
+    order = np.argsort(number, kind="stable").astype(np.int32)
+    starts = np.concatenate(([0], np.cumsum(np.bincount(number))[:-1]))
+    order.flags.writeable = starts.flags.writeable = False  # shared by every caller
+    return order, starts

@@ -11,7 +11,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from poissonclique import inference
 from poissonclique.inference import (
@@ -38,7 +38,6 @@ from poissonclique.lattice import (
     ResourceCapError,
     SubsetFamily,
     clique_graph,
-    edge_index,
     edge_mask_to_graph,
     graph_to_edge_mask,
     iter_submasks,
@@ -883,16 +882,6 @@ def test_graph_law_equals_butterfly_oracle_property(kind, alpha, c, n):
     assert_same_bits(graph_law(n, schedule), butterfly_law(n, level_rates(schedule, n)))
 
 
-def subcube_cells(edges, nbits):
-    """The whole-level mask of every cell of the kernel's sub-cube at ``edges``:
-    compacted bit i carries the i-th set bit of ``edges``."""
-    compacted = np.arange(1 << edges.bit_count())
-    cells = np.zeros_like(compacted)
-    for i, b in enumerate(b for b in range(nbits) if edges >> b & 1):
-        cells |= (compacted >> i & 1) << b
-    return cells
-
-
 # the default tile covers a whole level at n <= 6, so smaller ones put tile
 # boundaries there: one cell (one row per tile), one row of the level's own
 # 2^(nbits // 2) cells, a third of the level (an uneven last tile), and two
@@ -915,24 +904,13 @@ TILE_CELLS = {
 )
 @pytest.mark.parametrize("schedule", EXACT_LAW_SCHEDULES, ids=repr)
 def test_kernel_subcubes_equal_butterfly_oracle(schedule, n, tile, monkeypatch):
-    nbits = n * (n - 1) // 2
+    # the whole-level kernel under each tile size, run alone or split between
+    # threads by the caller
     if tile is not None:
-        monkeypatch.setattr(inference, "_TILE_CELLS", TILE_CELLS[tile](nbits))
+        monkeypatch.setattr(inference, "_TILE_CELLS", TILE_CELLS[tile](n * (n - 1) // 2))
     rates = level_rates(schedule, n)
-    oracle = butterfly_law(n, rates)
-    rng = random.Random(101 + n)
-    star = sum(1 << edge_index(1, j) for j in range(2, n + 1))  # no triangle
-    edge_sets = [0, star, (1 << nbits) - 1]
-    edge_sets += [
-        sum(1 << b for b in range(nbits) if rng.random() < density)
-        for density in (rng.uniform(0.2, 0.9) for _ in range(20))
-    ]
-    for edges in edge_sets:
-        law = inference._transform(n, rates, edges, inference._moebius_law)
-        assert_same_bits(law, oracle[subcube_cells(edges, nbits)])
-        cell = inference._transform(n, rates, edges, inference._moebius_cell)
-        assert cell == oracle[edges]
-        assert_same_bits(np.array([cell]), oracle[[edges]])
+    law = inference._transform(n, rates, inference._moebius_law)
+    assert_same_bits(law, butterfly_law(n, rates))
 
 
 def test_transform_restores_ufunc_buffer_size():
@@ -941,9 +919,6 @@ def test_transform_restores_ufunc_buffer_size():
     np.setbufsize(4096)
     try:
         graph_law(7, schedule)
-        assert np.getbufsize() == 4096
-        assert len(clique_set(complete_graph(7))) > CLIQUE_SUBSET_CAP
-        graph_prob(complete_graph(7), schedule)  # whole-level fallback
         assert np.getbufsize() == 4096
         with pytest.raises(ValueError, match="level 3"):
             graph_law(3, OVERFLOWING_TRIANGLE)
@@ -954,7 +929,7 @@ def test_transform_restores_ufunc_buffer_size():
             raise ArithmeticError("raised inside the passes")
 
         with pytest.raises(ArithmeticError):
-            inference._transform(3, level_rates(schedule, 3), 0b111, failing)
+            inference._transform(3, level_rates(schedule, 3), failing)
         assert np.getbufsize() == 4096
     finally:
         np.setbufsize(bufsize)
@@ -1024,7 +999,6 @@ def test_kernel_bits_do_not_depend_on_the_worker_count(schedule, n, tile, cpus, 
 
     monkeypatch.setattr(inference, "_helper", recorded)
     test_kernel_subcubes_equal_butterfly_oracle(schedule, n, tile, monkeypatch)
-    # the full cube has the most tiles; a sub-cube has at most as many
     assert any(shares) == (cpus >= 2 and tiles_at(n, tile) >= 16)
 
 
@@ -1070,7 +1044,6 @@ def test_kernel_workers_share_the_passes_and_their_errors(monkeypatch):
         with np.errstate(divide="raise", over="warn", under="ignore", invalid="raise"):
             err = np.geterr()
             graph_law(7, schedule)
-            graph_prob(complete_graph(7), schedule)
             assert (np.getbufsize(), np.geterr(), threading.active_count()) == (4096, err, threads)
             assert len({ident for ident, _, _ in seen}) > 1
             assert {(size, str(state)) for _, size, state in seen} == {(inference._PASS_BUFSIZE, str(err))}
@@ -1079,7 +1052,7 @@ def test_kernel_workers_share_the_passes_and_their_errors(monkeypatch):
                 raise ArithmeticError("raised by the consumer")
 
             with pytest.raises(ArithmeticError, match="consumer"):
-                inference._transform(7, level_rates(schedule, 7), (1 << 21) - 1, failing)
+                inference._transform(7, level_rates(schedule, 7), failing)
             assert (np.getbufsize(), np.geterr(), threading.active_count()) == (4096, err, threads)
 
             def failing_in_a_worker(*args, **kwargs):
@@ -1088,10 +1061,9 @@ def test_kernel_workers_share_the_passes_and_their_errors(monkeypatch):
                 passes(*args, **kwargs)
 
             monkeypatch.setattr(inference, "_passes", failing_in_a_worker)
-            for call in (lambda: graph_law(7, schedule), lambda: graph_prob(complete_graph(7), schedule)):
-                with pytest.raises(ArithmeticError, match="worker"):
-                    call()
-                assert (np.getbufsize(), np.geterr(), threading.active_count()) == (4096, err, threads)
+            with pytest.raises(ArithmeticError, match="worker"):
+                graph_law(7, schedule)
+            assert (np.getbufsize(), np.geterr(), threading.active_count()) == (4096, err, threads)
     finally:
         np.setbufsize(bufsize)
 
@@ -1217,36 +1189,103 @@ def test_whole_level_kernels_hold_one_level_array_under_many_cpus(monkeypatch):
     test_whole_level_kernels_hold_one_level_array()
 
 
-def clique_rich_graphs(n, rng, count):
+def clique_rich_graphs(n, rng, count, most=math.inf, density=0.75):
+    # graphs with 25 to ``most`` cliques, beyond the clique walk's cap
     pairs = list(itertools.combinations(range(1, n + 1), 2))
     found = []
     while len(found) < count:
-        graph = Graph.from_edges(n, [p for p in pairs if rng.random() < 0.8])
-        if len(clique_set(graph)) > CLIQUE_SUBSET_CAP:
+        graph = Graph.from_edges(n, [p for p in pairs if rng.random() < density])
+        if CLIQUE_SUBSET_CAP < len(clique_set(graph)) <= most:
             found.append(graph)
     return found
 
 
+K6_PLUS_EDGE = Graph.from_edges(7, list(itertools.combinations(range(1, 7), 2)) + [(6, 7)])
+
+# 60-digit references from an inclusion-exclusion over all 2^21 subgraphs of
+# K7, grouped by clique-count vector: (K7, K6 plus the edge (6, 7))
+SIXTY_DIGIT_CELLS = [
+    (GeometricSchedule(alpha=0.5, c=1.0), "0.0085926923477287749", "3.8083161420753662e-5"),
+    (GeometricSchedule(alpha=0.5, c=1e-6), "7.8124999694832327e-9", "6.1035126209267725e-17"),
+    (GeometricSchedule(alpha=0.9, c=20.0), "0.99999879195561535", "1.6421523596866817e-12"),
+    (BetaUniformSchedule(c=1.0), "0.11862663482337744", "6.5378036540789169e-5"),
+]
+
+
+@pytest.mark.parametrize(
+    "schedule, k7, k6_plus_edge", SIXTY_DIGIT_CELLS, ids=[repr(s) for s, *_ in SIXTY_DIGIT_CELLS]
+)
+def test_clique_rich_cells_equal_60_digit_values(schedule, k7, k6_plus_edge):
+    # the signed transform read -1.767e-13 on K6 plus (6, 7) under
+    # geometric(0.5, 1e-6), and K7 4.4e-4 relative off
+    for graph, exact in ((complete_graph(7), k7), (K6_PLUS_EDGE, k6_plus_edge)):
+        assert len(clique_set(graph)) > CLIQUE_SUBSET_CAP
+        prob = graph_prob(graph, schedule)
+        assert prob >= 0.0
+        assert relative_error(prob, decimal.Decimal(exact)) <= decimal.Decimal("1e-13")
+
+
 @pytest.mark.parametrize("schedule", EXACT_LAW_SCHEDULES, ids=repr)
-def test_graph_prob_fallback_equals_law_cell(schedule):
+def test_clique_rich_cells_equal_clique_walk_under_a_raised_cap(schedule, monkeypatch):
     rng = random.Random(89)
-    k6_plus_edge = Graph.from_edges(7, list(itertools.combinations(range(1, 7), 2)) + [(6, 7)])
-    for n, named in ((6, [complete_graph(6)]), (7, [complete_graph(7), k6_plus_edge])):
+    for n in (6, 7):
+        for graph in clique_rich_graphs(n, rng, 4, 40):
+            prob = graph_prob(graph, schedule)
+            with monkeypatch.context() as patch:
+                patch.setattr(inference, "CLIQUE_SUBSET_CAP", 40)
+                walk = graph_prob(graph, schedule)
+            assert prob >= 0.0
+            assert math.isclose(prob, walk, rel_tol=1e-13)
+
+
+@pytest.mark.parametrize("schedule", EXACT_LAW_SCHEDULES, ids=repr)
+def test_dense_clique_rich_cells_near_kernel_law_cells(schedule):
+    # graphs of edge density 0.8 with any number of cliques (K7 less an edge
+    # has 88), where the split-off neighbourhood spans the most inner edges;
+    # the signed kernel's cells are only near, so the benchmark's atol is used
+    rng = random.Random(89)
+    k7_less_edge = Graph.from_edges(7, list(itertools.combinations(range(1, 8), 2))[1:])
+    for n, named in ((6, []), (7, [k7_less_edge])):
         law = graph_law(n, schedule)
-        for graph in named + clique_rich_graphs(n, rng, 5):
-            assert len(clique_set(graph)) > CLIQUE_SUBSET_CAP
-            assert graph_prob(graph, schedule) == law[graph_to_edge_mask(graph)]
+        for graph in named + clique_rich_graphs(n, rng, 8, density=0.8):
+            prob = graph_prob(graph, schedule)
+            assert prob >= 0.0
+            assert math.isclose(prob, law[graph_to_edge_mask(graph)], rel_tol=0.0, abs_tol=1e-10)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(["geometric", "beta_uniform"]),
+    alpha=st.floats(0.01, 0.99),
+    c=st.floats(1e-6, 50.0),
+    n=st.integers(2, 7),
+    code=st.integers(0, (1 << 21) - 1),
+)
+def test_cell_equals_clique_walk_property(kind, alpha, c, n, code):
+    # the vertex split called directly, on graphs the clique walk prices
+    schedule = GeometricSchedule(alpha=alpha, c=c) if kind == "geometric" else BetaUniformSchedule(c=c)
+    edges = code & (1 << n * (n - 1) // 2) - 1
+    graph = edge_mask_to_graph(n, edges)
+    assume(len(clique_set(graph)) <= CLIQUE_SUBSET_CAP)
+    cell = inference._cell(n, level_rates(schedule, n), edges)
+    assert cell >= 0.0
+    assert math.isclose(cell, graph_prob(graph, schedule), rel_tol=1e-13)
+
+
+def test_clique_rich_cell_under_a_rate_past_the_exp_range():
+    # expm1(800) overflows, so the pairs take the normalized update; every
+    # pair is present, and the level total 15 * 800 is finite
+    assert graph_prob(complete_graph(6), TableSchedule({6: (0.0, 0.0, 800.0, 0.0, 0.0, 0.0, 0.0)})) == 1.0
 
 
 @pytest.mark.parametrize("schedule", EXACT_LAW_SCHEDULES, ids=repr)
 def test_graph_prob_clique_walk_relative_to_decimal_walk(schedule):
-    # every graph on n <= 5 within the clique cap (K5's 26 cliques take the
-    # fallback, which is not held to this bound)
+    # every graph on n <= 5: K5, with 26 cliques, takes the vertex split over
+    # level-4 laws, and every other one the clique walk
     for n in range(1, 6):
         for graph in all_graphs(n):
-            if len(clique_set(graph)) <= CLIQUE_SUBSET_CAP:
-                exact = decimal_graph_prob(graph.edges, n, schedule)
-                assert relative_error(graph_prob(graph, schedule), exact) <= decimal.Decimal("1e-13")
+            exact = decimal_graph_prob(graph.edges, n, schedule)
+            assert relative_error(graph_prob(graph, schedule), exact) <= decimal.Decimal("1e-13")
 
 
 def test_graph_prob_fallback_keeps_level_cap():
