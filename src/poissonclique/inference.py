@@ -14,23 +14,8 @@ complements.  Two computation paths are used:
   from sums of non-negative terms, so no cell of this path cancels.
 * whole-level: the cumulative law P(graph <= e) = exp(T(e) - T(full)) with T(e)
   the total rate of cliques fitting inside e, computed by a subset-sum (zeta)
-  transform over the edge lattice and inverted by a Moebius pass.  The zeta
-  transform starts sparse: at most 2^n - n - 1 cells hold a clique, so its low
-  edge-bit passes run on a small array with one column per nonzero row of the
-  natural layout, which then takes the high-bit passes.  A pass over bit p
-  pairs cells only inside one aligned block of 2^(p+1) cells, so both
-  transforms run the high-bit passes that fit inside a cache-sized row tile on
-  that tile, and only the rest (4 of 21 at n = 7, none at n <= 6) sweep the
-  whole array.  ``graph_law`` prices all 2^C(n,2) graphs at once in one
-  array: each row tile is copied transposed into a small buffer as it takes
-  the subtraction of T(full), so that every low-bit pass streams long
-  contiguous runs, takes the exp and the low edge-bit Moebius passes there,
-  and is copied back for its in-tile high passes.  T(full) is the zeta
-  transform's own last cell.  The passes run with NumPy's ufunc buffer at
-  1024 elements, restored afterwards, so runs of 1024-2048 cells are not
-  copied through it.  From n = 7 on, a helper thread may take one half of the
-  cube (see ``_helper`` and ``_halves``).  Each cell still sees the same float
-  operations, in the same order, as the plain per-bit butterfly.
+  transform over the edge lattice and inverted by a Moebius pass, for all
+  2^C(n,2) graphs at once in one array (``_law`` describes the kernel).
 
 Subsets of cardinality <= 1 never affect the graph; they are marginalized out of
 every graph computation and cancel from every conditional ratio.
@@ -53,7 +38,7 @@ import math
 import operator
 import os
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Mapping, TypeVar
+from typing import TYPE_CHECKING, Callable, Mapping
 
 from .lattice import (
     GeneratingClass,
@@ -81,11 +66,6 @@ if TYPE_CHECKING:
     from concurrent.futures import ThreadPoolExecutor
 
     import numpy as np
-
-    # (T, T(full), the helper's pool or None): see _log_cumulative_law
-    _Transform = tuple[np.ndarray, float, ThreadPoolExecutor | None]
-
-_T = TypeVar("_T")
 
 GRAPH_ENUM_CAP = 7
 CLIQUE_SUBSET_CAP = 24
@@ -271,67 +251,13 @@ def _passes(x: np.ndarray, positions: range, op: np.ufunc, width: int = 1) -> No
         op(view[:, 1, :], view[:, 0, :], out=view[:, 1, :])
 
 
-def _top_pass(pool: ThreadPoolExecutor | None, x: np.ndarray, op: np.ufunc) -> None:
-    """``_passes`` over the top index bit of ``x``, none on one cell, by
-    ``_halves`` of each operand."""
-    if x.size > 1:
-        _halves(pool, lambda lo, hi: op(hi, lo, out=hi), *x.reshape(2, -1))
-
-
-def _log_cumulative_law(n: int, rates: list[float], pool: ThreadPoolExecutor | None) -> _Transform:
-    """The triple (T, T(full), ``pool``), where T - T(full) is log F(e) =
-    T(e) - T(full) for every graph e on [n], F(e) = P(graph <= e).  The
-    consumer subtracts and takes the exp, one row tile at a time, on the same
-    ``pool``.  T(full) is the transform's own last cell.
-
-    Before the zeta transform at most 2^n - n - 1 cells are nonzero, and a pass
-    over one of the low k = nbits // 2 bits adds only within a row of 2^k cells
-    that share their high bits.  So the low passes run on one column per
-    nonzero row, low bits on axis 0 so that runs are long, and the columns are
-    then scattered into the natural layout; every other row stays 0.0, as the
-    butterfly leaves it.  The clique cells (their pair masks) and their
-    columns come from array arithmetic, and one fancy assignment places the
-    rates.  The passes over bits k .. c - 1 below the top bit then run on one
-    row tile at a time (see ``_row_tiles``), and only the bits from c on sweep
-    the whole array: 4 of 21 at n = 7, none at n <= 6.  The passes below the
-    top bit run by ``_halves`` of the cube, then the top pass.  Bits are
-    processed in order 0 .. nbits - 1, so every cell is bit-identical to the
-    plain per-bit butterfly.
-    """
-    import numpy as np
-
-    pmt = pair_masks(n)
-    nbits = n * (n - 1) // 2
-    k, step, c = _row_tiles(nbits)
-    # 0.0 + rate is the dense scatter's own addition (it turns -0.0 into 0.0)
-    cells = {pmt[a]: 0.0 + rates[a.bit_count()] for a in all_masks(n) if a.bit_count() >= 2}
-    keys = np.fromiter(cells, np.int64, len(cells))
-    rows, column = np.unique(keys >> k, return_inverse=True)
-    low = np.zeros((1 << k, rows.size))
-    low[keys & (1 << k) - 1, column] = np.fromiter(cells.values(), float, len(cells))
-    _passes(low, range(k), np.add, rows.size)
-
-    law = np.zeros(1 << nbits)
-    law.reshape(-1, 1 << k)[rows] = low.T
-
-    def half(part: np.ndarray) -> None:
-        natural = part.reshape(-1, 1 << k)
-        for r in range(0, len(natural), step):
-            _passes(natural[r : r + step], range(k, min(c, nbits - 1)), np.add)
-        _passes(part, range(c, nbits - 1), np.add)
-
-    _halves(pool, half, law)
-    _top_pass(pool, law, np.add)
-    return law, float(law[-1]), pool
-
-
 def _row_tiles(nbits: int) -> tuple[int, int, int]:
     """k = nbits // 2; the rows of 2^k cells (one row per high part) per tile,
     about ``_TILE_CELLS`` cells, at least one row and at most all of them; and
     c = k + the trailing zero bits of that count.  Tiles start at multiples of
     it, and a pass over bit p pairs cells only inside one aligned block of
     2^(p + 1) cells, so the passes over bits k .. c - 1 pair cells inside one
-    tile.  How the tiles are shared between threads: see ``_helper``.
+    tile; ``_law`` describes how the tiles are swept.
     """
     k = nbits // 2
     step = max(1, min(_TILE_CELLS >> k, 1 << nbits - k))
@@ -347,22 +273,19 @@ def _cpus() -> int:
 
 
 def _helper(nbits: int) -> contextlib.AbstractContextManager[ThreadPoolExecutor | None]:
-    """A one-thread executor for ``_halves`` of a cube of 2^nbits cells, else
-    a context that holds None.
+    """A one-thread executor for ``_halves`` of a cube of 2^nbits cells, which
+    takes the upper half of each of ``_law``'s jobs, else a context that holds
+    None.
 
-    Every pass but the one over the cube's top index bit pairs cells inside
-    one half of it, and NumPy releases the GIL inside each ufunc, so a helper
-    thread can run a kernel's passes on the upper half, above the top bit,
-    while the caller runs them on the lower half; the two then split the top
-    pass by halves of its operands (``_top_pass``).  It opens when the process
-    may run on two CPUs and the cube has at least 16 row tiles, so that each
-    half holds whole tiles and the two threads' tile buffers stay within 1/8
-    of the cube: from n = 7 (16 tiles) on, never at n <= 6 (one tile).  The
-    thread starts with the first job and is joined on exit, so none outlives
-    the ``with`` block, and ``concurrent.futures`` (which imports ``logging``)
-    is imported only here.  NumPy keeps the ufunc buffer size and the
-    floating-point error state per thread (1.x) or per context (2.x), so the
-    thread takes the caller's, as they are when the helper is opened.
+    It opens when the process may run on two CPUs and the cube has at least
+    16 row tiles, so that each half holds whole tiles and the two threads'
+    tile buffers stay within 1/8 of the cube: from n = 7 (16 tiles) on, never
+    at n <= 6 (one tile).  The thread starts with the first job and is joined
+    on exit, so none outlives the ``with`` block, and ``concurrent.futures``
+    (which imports ``logging``) is imported only here.  NumPy keeps the ufunc
+    buffer size and the floating-point error state per thread (1.x) or per
+    context (2.x), so the thread takes the caller's, as they are when the
+    helper is opened.
     """
     k, step, _ = _row_tiles(nbits)
     if (1 << nbits - k) // step < 16 or _cpus() < 2:
@@ -407,55 +330,81 @@ def _halves(pool: ThreadPoolExecutor | None, work: Callable[..., object], *array
         share.result()
 
 
-def _moebius_law(transform: _Transform) -> np.ndarray:
-    """P(graph = e) for every cell, from ``_log_cumulative_law``, overwriting T.
+def _law(n: int, rates: list[float]) -> np.ndarray:
+    """The law of every graph on [n] under the size rates ``rates``, by the
+    whole-level kernel: F(e) = P(graph <= e) = exp(T(e) - T(full)), T(e) the
+    total rate of the cliques inside e, by a subset-sum (zeta) transform over
+    the edge lattice, inverted by a Moebius pass, in one level-sized array.
 
-    A pass at bit position p streams runs of 2^p cells, and NumPy's per-run
-    overhead dominates on short ones.  So the rows are swept one cache-sized
-    tile at a time, in a buffer of the thread's own: each tile is copied
-    transposed into the buffer, low bits on axis 0, as it takes the
-    subtraction of T(full); there it takes the exp and the passes over the
-    low k bits in runs of at least one cell per tile row, is copied back, and
-    takes the passes over bits k .. c - 1 below the top bit while it is in
-    cache.  Only the bits from c on sweep the whole array.  All of this runs
-    by ``_halves`` of the cube, then the top pass.  Every cell still sees its
-    operations in bit order 0 .. nbits - 1.
+    Both transforms take the bits in order 0 .. nbits - 1, so every cell
+    sees the same float operations, in the same order, as the plain per-bit
+    butterfly, whatever the tiles and the threads:
+
+    * At most 2^n - n - 1 cells hold a clique (its pair mask), and a pass over
+      one of the low k = nbits // 2 bits adds only within a row of 2^k cells
+      that share their high bits.  So the low zeta passes run on one column
+      per nonzero row, low bits on axis 0 so that runs are long, and the
+      columns are then scattered into the natural layout; every other row
+      stays 0.0, as the butterfly leaves it.
+    * One ``sweep`` runs both transforms' other passes below the top bit.  A
+      pass over bit p pairs cells only inside one aligned block of 2^(p + 1)
+      cells, so the passes over bits k .. c - 1 run on one cache-sized row
+      tile at a time (``_row_tiles``), and only the bits from c on sweep the
+      whole array: 4 of 21 at n = 7, none at n <= 6.  A pass streams runs of
+      2^p cells, and NumPy's per-run overhead dominates on short ones, so the
+      Moebius sweep first copies each tile transposed into a buffer of its
+      thread's own, low bits on axis 0, as it takes the subtraction of T(full)
+      (the zeta transform's own last cell); there the tile takes the exp and
+      the low passes in runs of at least one cell per tile row, and is copied
+      back.
+    * Every pass but the one over the top index bit pairs cells inside one
+      half of the cube, and NumPy releases the GIL inside each ufunc.  So
+      each sweep runs by ``_halves`` of the cube, the upper half on the
+      ``_helper`` thread when one opens (from n = 7 on two CPUs), and then
+      the top pass by ``_halves`` of its two operands.
+    * The passes run with NumPy's ufunc buffer at ``_PASS_BUFSIZE``, restored
+      afterwards, and the helper is joined before this returns.
     """
     import numpy as np
 
-    law, total, pool = transform
-    nbits = law.size.bit_length() - 1
+    pmt = pair_masks(n)
+    nbits = n * (n - 1) // 2
     k, step, c = _row_tiles(nbits)
-
-    def half(part: np.ndarray) -> None:
-        rows = part.reshape(-1, 1 << k)
-        buf = np.empty(step << k)
-        for r in range(0, len(rows), step):
-            natural = rows[r : r + step]
-            tile = buf[: natural.size].reshape(1 << k, -1)
-            np.subtract(natural.T, total, out=tile)
-            np.exp(tile, out=tile)
-            _passes(tile, range(k), np.subtract, len(natural))
-            np.copyto(natural, tile.T)
-            _passes(natural, range(k, min(c, nbits - 1)), np.subtract)
-        _passes(part, range(c, nbits - 1), np.subtract)
-
-    _halves(pool, half, law)
-    _top_pass(pool, law, np.subtract)
-    return law
-
-
-def _transform(n: int, rates: list[float], moebius: Callable[[_Transform], _T]) -> _T:
-    """``moebius`` applied to the log cumulative law of the graphs on [n],
-    with NumPy's ufunc buffer at ``_PASS_BUFSIZE`` for the passes and restored
-    afterwards, and a ``_helper`` joined before this returns."""
-    import numpy as np
-
     bufsize = np.getbufsize()
     np.setbufsize(_PASS_BUFSIZE)
     try:
-        with _helper(n * (n - 1) // 2) as pool:
-            return moebius(_log_cumulative_law(n, rates, pool))
+        with _helper(nbits) as pool:
+            # 0.0 + rate is the dense scatter's own addition (it turns -0.0 into 0.0)
+            cells = {pmt[a]: 0.0 + rates[a.bit_count()] for a in all_masks(n) if a.bit_count() >= 2}
+            keys = np.fromiter(cells, np.int64, len(cells))
+            rows, column = np.unique(keys >> k, return_inverse=True)
+            low = np.zeros((1 << k, rows.size))
+            low[keys & (1 << k) - 1, column] = np.fromiter(cells.values(), float, len(cells))
+            _passes(low, range(k), np.add, rows.size)
+            law = np.zeros(1 << nbits)
+            law.reshape(-1, 1 << k)[rows] = low.T
+            del low
+
+            def sweep(part: np.ndarray, op: np.ufunc) -> None:
+                table = part.reshape(-1, 1 << k)
+                buf = np.empty(step << k) if op is np.subtract else None
+                for r in range(0, len(table), step):
+                    natural = table[r : r + step]
+                    if buf is not None:
+                        tile = buf[: natural.size].reshape(1 << k, -1)
+                        np.subtract(natural.T, total, out=tile)
+                        np.exp(tile, out=tile)
+                        _passes(tile, range(k), np.subtract, len(natural))
+                        np.copyto(natural, tile.T)
+                    _passes(natural, range(k, min(c, nbits - 1)), op)
+                _passes(part, range(c, nbits - 1), op)
+
+            for op in np.add, np.subtract:
+                _halves(pool, functools.partial(sweep, op=op), law)
+                if nbits:
+                    _halves(pool, lambda lo, hi: op(hi, lo, out=hi), *law.reshape(2, -1))
+                total = float(law[-1])  # T(full), once the zeta transform is done
+            return law
     finally:
         np.setbufsize(bufsize)
 
@@ -463,15 +412,8 @@ def _transform(n: int, rates: list[float], moebius: Callable[[_Transform], _T]) 
 def graph_law(n: int, schedule: RateSchedule, *, cap: int | None = None) -> np.ndarray:
     """Exact probability of every graph on [n], indexed by edge bitmask.
 
-    Bit b of the index carries edge ``edge_bit_pairs(n)[b]``.  Computed via the
-    cumulative law F(e) = P(graph <= e) = exp(T(e) - T(full)), where T is the
-    subset-sum transform of clique rates over the edge lattice, then inverted
-    by a Moebius pass.  The transform's low-bit passes run on the rows that
-    hold a clique only; the subtraction of T(full), the exp, the low-bit
-    Moebius passes and the high-bit passes of both transforms that fit in a
-    tile run on one cache-sized row tile at a time, and NumPy's ufunc buffer
-    size is set for the passes and restored afterwards.  From n = 7 on, a
-    helper thread may take half of the cube (see ``_helper``); every cell is
+    Bit b of the index carries edge ``edge_bit_pairs(n)[b]``.  Computed by the
+    whole-level zeta/Moebius kernel (see ``_law``); every cell is
     bit-identical to the plain per-bit butterfly, whatever the thread count.
     Cost O(2^C(n,2) * C(n,2)) time, and memory for the returned array plus a
     1 MiB tile per thread (n = 7: a 16 MiB law in about 20 ms on two CPUs,
@@ -481,11 +423,6 @@ def graph_law(n: int, schedule: RateSchedule, *, cap: int | None = None) -> np.n
     _law_cap(n, cap)
     rates, _ = _graph_rates(schedule, n)
     return _law(n, rates)
-
-
-def _law(n: int, rates: list[float]) -> np.ndarray:
-    """The law of every graph on [n] under the size rates ``rates``."""
-    return _transform(n, rates, _moebius_law)
 
 
 def graph_prob(graph: Graph, schedule: RateSchedule, *, cap: int | None = None) -> float:

@@ -106,6 +106,10 @@ class MomentAtomsSchedule(RateSchedule):
                 raise ValueError(f"atom location {x} outside [0, 1]")
             if not (math.isfinite(w) and w > 0):
                 raise ValueError(f"atom weight {w} must be finite and positive")
+        # lambda_0(0) is the total weight, and every rate is at most it
+        total = sum(w for _, w in self.atoms)
+        if not math.isfinite(total):
+            raise ValueError(f"total atom weight {total} must be finite")
 
     def _rate(self, n: int, r: int) -> float:
         return sum(w * x**r * (1.0 - x) ** (n - r) for x, w in self.atoms)

@@ -791,6 +791,16 @@ def test_schedule_check_malformed_atom_exits_2(atoms, atom, capsys):
     )
 
 
+def test_schedule_check_overflowing_atom_weights_exit_2(capsys):
+    # each weight is finite, but lambda_n(0) summed them to inf at every
+    # level, and the NaN gaps used to read as "ok": true
+    schedule = '{"kind":"moment_atoms","atoms":[[0,1e308],[0,1e308]]}'
+    code, out, err = run_cli(["schedule", "check", "--schedule", schedule, "--nmax", "4"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "total atom weight inf must be finite" in err
+
+
 def test_schedule_check_shorthand_echoes_the_parsed_schedule(capsys):
     # a flag the kind has no field for is dropped, as schedule_from_dict drops it
     argv = ["schedule", "check", "--kind", "beta_uniform", "--alpha", "0.3", "--nmax", "3"]

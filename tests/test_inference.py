@@ -909,11 +909,11 @@ def test_kernel_subcubes_equal_butterfly_oracle(schedule, n, tile, monkeypatch):
     if tile is not None:
         monkeypatch.setattr(inference, "_TILE_CELLS", TILE_CELLS[tile](n * (n - 1) // 2))
     rates = level_rates(schedule, n)
-    law = inference._transform(n, rates, inference._moebius_law)
+    law = inference._law(n, rates)
     assert_same_bits(law, butterfly_law(n, rates))
 
 
-def test_transform_restores_ufunc_buffer_size():
+def test_kernel_restores_ufunc_buffer_size(monkeypatch):
     schedule = GeometricSchedule(alpha=0.5)
     bufsize = np.getbufsize()
     np.setbufsize(4096)
@@ -924,12 +924,13 @@ def test_transform_restores_ufunc_buffer_size():
             graph_law(3, OVERFLOWING_TRIANGLE)
         assert np.getbufsize() == 4096
 
-        def failing(cumulative):
+        def failing(*args, **kwargs):
             assert np.getbufsize() == inference._PASS_BUFSIZE
             raise ArithmeticError("raised inside the passes")
 
-        with pytest.raises(ArithmeticError):
-            inference._transform(3, level_rates(schedule, 3), failing)
+        monkeypatch.setattr(inference, "_passes", failing)
+        with pytest.raises(ArithmeticError, match="inside the passes"):
+            inference._law(3, level_rates(schedule, 3))
         assert np.getbufsize() == 4096
     finally:
         np.setbufsize(bufsize)
@@ -1048,11 +1049,16 @@ def test_kernel_workers_share_the_passes_and_their_errors(monkeypatch):
             assert len({ident for ident, _, _ in seen}) > 1
             assert {(size, str(state)) for _, size, state in seen} == {(inference._PASS_BUFSIZE, str(err))}
 
-            def failing(cumulative):
-                raise ArithmeticError("raised by the consumer")
+            def failing_on_the_caller(x, positions, op, *args):
+                # the caller's half waits for the helper (above), so the
+                # helper holds the other half when this raises
+                if threading.get_ident() == caller and op is np.subtract:
+                    raise ArithmeticError("raised by the caller's Moebius pass")
+                passes(x, positions, op, *args)
 
-            with pytest.raises(ArithmeticError, match="consumer"):
-                inference._transform(7, level_rates(schedule, 7), failing)
+            monkeypatch.setattr(inference, "_passes", failing_on_the_caller)
+            with pytest.raises(ArithmeticError, match="caller's Moebius pass"):
+                graph_law(7, schedule)
             assert (np.getbufsize(), np.geterr(), threading.active_count()) == (4096, err, threads)
 
             def failing_in_a_worker(*args, **kwargs):

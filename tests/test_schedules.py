@@ -121,6 +121,8 @@ def test_parameter_validation():
         MomentAtomsSchedule(((1.5, 1.0),))
     with pytest.raises(ValueError):
         MomentAtomsSchedule(((0.5, 0.0),))
+    with pytest.raises(ValueError, match="total atom weight"):
+        MomentAtomsSchedule(((0.0, 1e308), (0.0, 1e308)))
     with pytest.raises(ValueError):
         TableSchedule({2: (0.1, 0.2)})
     with pytest.raises(ValueError):
