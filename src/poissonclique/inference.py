@@ -7,8 +7,9 @@ graph.  Because presence of distinct subsets is independent, every probability
 below reduces to sums of products of p(a) = 1 - e^{-lambda(#a)} and their
 complements.  Two computation paths are used:
 
-* per-graph: sum over subsets of cliques(G) whose pairwise edges exactly cover
-  E(G), as a memoized include/exclude walk, up to CLIQUE_SUBSET_CAP cliques.
+* per-graph: the absent subsets, those not cliques of G, priced by one exponent
+  of non-negative terms, times the sum over subsets of cliques(G) whose pairs
+  exactly cover E(G), a memoized walk, up to CLIQUE_SUBSET_CAP cliques.
   A graph with more cliques splits off one vertex (``_cell``), which needs the
   whole laws one level down; the vertex step (``_positive_law``) builds them
   from sums of non-negative terms, so no cell of this path cancels.
@@ -207,20 +208,13 @@ def interval_prob(family: SubsetFamily, schedule: RateSchedule) -> float:
 # The projected graph law
 # ---------------------------------------------------------------------------
 
-def _graph_rates(schedule: RateSchedule, n: int) -> tuple[list[float], float]:
-    """lambda_n(0..n) and sum_r C(n, r) lambda_n(r) over r >= 2, which must be finite."""
+def _graph_rates(schedule: RateSchedule, n: int) -> list[float]:
+    """lambda_n(0..n); ValueError when sum_r C(n, r) lambda_n(r), r >= 2, overflows."""
     rates = _size_rates(schedule, n)
-    total = _level_total(n, rates)
+    total = sum(math.comb(n, r) * rates[r] for r in range(2, n + 1))
     if not math.isfinite(total):
-        raise ValueError(
-            f"level {n}: the total rate of subsets with at least two elements overflows ({total})"
-        )
-    return rates, total
-
-
-def _level_total(n: int, rates: list[float]) -> float:
-    """sum_r C(n, r) ``rates[r]`` over r = 2 .. n: the total rate at level n."""
-    return sum(math.comb(n, r) * rates[r] for r in range(2, n + 1))
+        raise ValueError(f"level {n}: the total rate of subsets with at least two elements overflows ({total})")
+    return rates
 
 
 def _law_cap(n: int, cap: int | None) -> None:
@@ -421,41 +415,41 @@ def graph_law(n: int, schedule: RateSchedule, *, cap: int | None = None) -> np.n
     Raises ValueError when the level's total rate overflows.
     """
     _law_cap(n, cap)
-    rates, _ = _graph_rates(schedule, n)
-    return _law(n, rates)
+    return _law(n, _graph_rates(schedule, n))
 
 
 def graph_prob(graph: Graph, schedule: RateSchedule, *, cap: int | None = None) -> float:
     """P(projected graph = graph), exactly, from sums of non-negative terms.
 
-    Uses the clique-subset walk when the graph has at most CLIQUE_SUBSET_CAP
-    cliques.  Otherwise splits off the vertex whose neighbourhood spans the
-    fewest edges (see ``_cell``): that needs the whole laws at level n - 1,
-    built by the vertex step (``_positive_law``), or, when the neighbourhood
-    spans no edge, one cell a level down.  K7 takes about 3-5 ms with a
-    1.1 MiB ``tracemalloc`` peak; K6 plus a pendant edge at n = 7, about
-    0.4-0.7 ms and level-5 laws only; one thread either way.  The level cap
-    of ``graph_law`` applies to this path.  Raises ValueError when the
-    level's total rate overflows.
+    Up to CLIQUE_SUBSET_CAP cliques, the clique walk prices the absent
+    subsets by one non-negative exponent, times the cliques' cover weight.
+    Otherwise splits off the vertex whose neighbourhood spans the fewest
+    edges (see ``_cell``): that needs the whole laws at level n - 1, built
+    by the vertex step (``_positive_law``), or, when the neighbourhood spans
+    no edge, two cells a level down.  K7 takes about 3-5 ms with a 1.1 MiB
+    ``tracemalloc`` peak; K6 plus a pendant edge at n = 7, about 0.4-0.7 ms
+    and level-5 laws only; one thread either way.  The power-set cap applies
+    before any level-sized sum, the level cap of ``graph_law`` to the split.
+    Raises ValueError when the level's total rate overflows.
     """
-    rates, total = _graph_rates(schedule, graph.n)
-    return _prob(graph.n, rates, total, graph_to_edge_mask(graph), clique_set(graph), cap)
+    cliques = clique_set(graph)  # the power-set cap, before the level total
+    return _prob(graph.n, _graph_rates(schedule, graph.n), graph_to_edge_mask(graph), cliques, cap)
 
 
-def _prob(
-    n: int, rates: list[float], total: float, edges: int, cliques: tuple[int, ...], cap: int | None = None
-) -> float:
-    """P(graph = ``edges``) on [n] under the size rates ``rates`` of level
-    total ``total``, given its ``cliques``: the clique walk up to
-    CLIQUE_SUBSET_CAP of them, else ``_cell`` under the level cap."""
+def _prob(n: int, rates: list[float], edges: int, cliques: tuple[int, ...], cap: int | None = None) -> float:
+    """P(graph = ``edges``) on [n] under the size rates ``rates``, given its
+    ``cliques``: the clique walk, the absent subsets priced by one non-negative
+    exponent, up to CLIQUE_SUBSET_CAP of them, else ``_cell`` (level cap)."""
     if len(cliques) > CLIQUE_SUBSET_CAP:
         _law_cap(n, cap)
         return _cell(n, rates, edges)
     pmt = pair_masks(n)
     presence = {a: _presence(rates[a.bit_count()]) for a in cliques}
     weight = _cover_weight(cliques, presence, pmt, edges)
-    clique_rate = sum(rates[a.bit_count()] for a in cliques)
-    return math.exp(clique_rate - total) * weight
+    # each count of absent r-subsets split into its bits: exact terms, which fsum rounds once
+    counts = [(r, math.comb(n, r) - sum(a.bit_count() == r for a in cliques)) for r in range(2, n + 1)]
+    absent = math.fsum(rates[r] * (1 << j) for r, k in counts for j in range(k.bit_length()) if k >> j & 1)
+    return math.exp(-absent) * weight
 
 
 def _cell(n: int, rates: list[float], edges: int) -> float:
@@ -474,8 +468,8 @@ def _cell(n: int, rates: list[float], edges: int) -> float:
     p1^(vertices of N isolated in D) * s1^(n - 1 - |N|) for D inside E(e[N])
     and Q(X) = sum of g(D) over D containing X (superset passes that add),
     P = sum over C' of h(C') * Q(e' - C').  When E(e[N]) is empty that is one
-    term, h'(empty) * p1^|N| * s1^(n - 1 - |N|) * h(e'), and h(e') is one
-    cell a level down (``_prob``).
+    term, h'(empty) * p1^|N| * s1^(n - 1 - |N|) * h(e'), and h(e') and
+    h'(empty) are cells a level down (``_prob``).
     """
     import numpy as np
 
@@ -494,8 +488,8 @@ def _cell(n: int, rates: list[float], edges: int) -> float:
     inner, size = pmt[star] & lower, star.bit_count()
     p1, outside = _presence(rates[2]), (n - 1 - size) * rates[2]
     if not inner:
-        below_cell = _prob(n - 1, rates[:n], _level_total(n - 1, rates[:n]), lower, _cliques(n - 1, lower))
-        return math.exp(-outside - _level_total(n - 1, rates[1:])) * p1**size * below_cell
+        below_cell = _prob(n - 1, rates[:n], lower, _cliques(n - 1, lower))
+        return math.exp(-outside) * p1**size * _prob(n - 1, rates[1:], 0, ()) * below_cell
     # every D inside E(e[N]), bit i of its position carrying the i-th edge of
     # ``inner``: its edge mask and the vertices its edges touch
     cells, touched = np.zeros(1, np.int32), np.zeros(1, np.uint8)
@@ -782,7 +776,7 @@ def marginal_restriction_check(
         raise ValueError(f"need 1 <= m < n, got m={m}, n={n}")
     law_m = graph_law(m, schedule, cap=cap)
     _law_cap(n, cap)
-    rates, _ = _graph_rates(schedule, n)
+    rates = _graph_rates(schedule, n)
     pushed = [math.fsum(math.comb(n - m, j) * rates[s + j] for j in range(n - m + 1)) for s in range(m + 1)]
     return float(np.abs(_law(m, pushed) - law_m).max())
 

@@ -161,13 +161,19 @@ def _first_uniforms(seed: int, n: int) -> list[float]:
 
 
 def _poisson_from_uniform(u: float, rate: float) -> int:
-    """Invert the Poisson CDF at a single uniform; exact for any rate <= 700."""
+    """Invert the Poisson CDF at a single uniform; exact for any rate <= 700.
+
+    The float sum of the CDF can stop short of the largest uniform, 1 - 2^-53;
+    the walk then returns the first k whose term no longer moves the sum,
+    which happens only in the decreasing tail."""
     term = math.exp(-rate)
     cumulative = term
     k = 0
     while u >= cumulative:
         k += 1
         term *= rate / k
+        if cumulative + term == cumulative:
+            break
         cumulative += term
     return k
 

@@ -420,6 +420,16 @@ def test_graph_prob_fallback_beyond_level_cap_exits_3(capsys):
     assert "cap" in err
 
 
+@pytest.mark.parametrize("schedule", [GEOM_HALF, '{"kind":"beta_uniform","c":1}'])
+def test_graph_prob_past_the_power_set_cap_exits_3_without_stdout(schedule, capsys):
+    # the cap comes before the level total, whose C(2000, r) * rate would not
+    # convert to a float
+    code, out, err = run_cli(["graph-prob", "--graph", '{"n":2000,"edges":[]}', "--schedule", schedule], capsys)
+    assert code == 3
+    assert out == ""
+    assert err == "error: pair-mask table needs 2**2000 entries (cap 16)\n"
+
+
 def test_usage_errors(capsys):
     with pytest.raises(SystemExit) as info:
         main(["no-such-command"])

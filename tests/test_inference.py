@@ -1304,6 +1304,39 @@ def test_graph_prob_fallback_keeps_level_cap():
     assert graph_prob(Graph.from_edges(8, [(1, 2)]), schedule) > 0.0
 
 
+def test_graph_prob_applies_the_power_set_cap_before_the_level_total():
+    # C(2000, r) * rate would not even convert to a float
+    with pytest.raises(ResourceCapError, match="pair-mask table"):
+        graph_prob(Graph.from_edges(2000, []), GeometricSchedule(alpha=0.5))
+
+
+def test_complete_graph_under_large_rates_reads_one():
+    # every subset is a clique, so nothing is absent: the exponent is 0
+    schedule = TableSchedule({4: (0.0, 0.0, 268.197, 1571.564, 208.737)})
+    assert graph_prob(complete_graph(4), schedule) == 1.0
+
+
+@pytest.mark.parametrize("bound", [1.0, 10.0, 60.0, 3000.0])
+def test_clique_walk_keeps_relative_accuracy_under_large_rates(bound):
+    # table rows drawn from [0, bound] on graphs with at most 24 cliques (all
+    # but K5): no probability passes 1, and every one the float range holds
+    # stays within 1e-13 relative of the 50-digit walk
+    rng = random.Random(23)
+    for n in (3, 4, 5):
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        for _ in range(40):
+            schedule = TableSchedule({n: tuple(rng.uniform(0.0, bound) for _ in range(n + 1))})
+            density = rng.random()
+            graph = Graph.from_edges(n, [p for p in pairs if rng.random() < density])
+            if len(clique_set(graph)) > CLIQUE_SUBSET_CAP:
+                continue
+            prob = graph_prob(graph, schedule)
+            assert prob <= 1.0
+            exact = decimal_graph_prob(graph.edges, n, schedule)
+            if exact >= decimal.Decimal("1e-300"):
+                assert relative_error(prob, exact) <= decimal.Decimal("1e-13")
+
+
 # rows whose level total C(n, r) * rate overflows, though every rate is finite
 OVERFLOWING_TRIANGLE = TableSchedule({3: (0.0, 0.0, 1e308, 1e308)})
 OVERFLOWING_PAIRS_6 = TableSchedule({6: (0.0, 0.0, 1e308, 0.0, 0.0, 0.0, 0.0)})

@@ -1,11 +1,16 @@
 import math
+import os
 import random
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import poissonclique
 from poissonclique.inference import graph_law
 from poissonclique.lattice import (
     Graph,
@@ -24,6 +29,7 @@ from poissonclique.sampling import (
     PointProcessRealization,
     _first_uniforms,
     _graph_batches,
+    _poisson_from_uniform,
     sample_graph_batch,
     sample_pipeline,
     sample_point_process,
@@ -307,6 +313,56 @@ def test_relabeled_batch_matches_law():
     freq = np.bincount(swapped, minlength=law.size) / draws
     se = np.sqrt(law * (1 - law) / draws)
     assert np.all(np.abs(freq - law) <= 4 * se + 1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Poisson CDF inversion
+# ---------------------------------------------------------------------------
+
+TOP_UNIFORM = 1.0 - 2.0**-53  # the largest double a Philox uniform takes
+INVERSION_SCRIPT = """
+from poissonclique.sampling import _poisson_from_uniform
+print([_poisson_from_uniform(%r, rate) for rate in (0.1, 10.0, 500.0, 699.0)])
+""" % TOP_UNIFORM
+
+
+def plain_cdf_walk(u, rate, steps=3000):
+    """The inversion without its stop on a sum that no longer grows; None
+    after ``steps`` terms, where the walk would run on."""
+    term = math.exp(-rate)
+    cumulative = term
+    k = 0
+    while u >= cumulative:
+        if k == steps:
+            return None
+        k += 1
+        term *= rate / k
+        cumulative += term
+    return k
+
+
+def test_inversion_returns_where_the_float_cdf_stops_short_of_the_uniform():
+    # the float sums end at 0.9999999999999998 (rate 0.1) to 0.9999999999999979
+    # (rate 699), below TOP_UNIFORM; a child process turns a hang into a failure
+    package_root = str(Path(poissonclique.__file__).resolve().parent.parent)
+    inherited = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=package_root + (os.pathsep + inherited if inherited else ""))
+    completed = subprocess.run(
+        [sys.executable, "-c", INVERSION_SCRIPT], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stdout == "[10, 47, 694, 925]\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    u=st.one_of(st.floats(0.0, 1.0, exclude_max=True), st.integers(1, 1 << 20).map(lambda i: 1.0 - i * 2.0**-53)),
+    rate=st.floats(0.0, 700.0),
+)
+def test_inversion_equals_the_plain_cdf_walk_wherever_it_returns(u, rate):
+    expected = plain_cdf_walk(u, rate)
+    if expected is not None:
+        assert _poisson_from_uniform(u, rate) == expected
 
 
 def test_large_rate_uses_library_sampler():
