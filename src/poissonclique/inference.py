@@ -21,10 +21,10 @@ complements.  Two computation paths are used:
 Subsets of cardinality <= 1 never affect the graph; they are marginalized out of
 every graph computation and cancel from every conditional ratio.
 
-Survival products are always accumulated as exp(-sum of rates), so they never
-underflow factor by factor.  A level whose total rate of subsets with at least
-two elements overflows the float range has no finite exponent to work with, and
-the graph laws reject it with ValueError.
+Survival products are exp(-sum of rates), one exact sum by sizes rounded once
+(``_absent_rate``), so they never underflow factor by factor.  A level whose
+total rate of subsets with at least two elements overflows has no finite
+exponent to work with, and the graph laws reject it with ValueError.
 
 NumPy is imported inside the functions that build arrays, so the per-graph
 queries and the conditionals run without loading it.
@@ -39,27 +39,23 @@ import math
 import operator
 import os
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Mapping
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping
 
 from .lattice import (
     GeneratingClass,
     Graph,
-    Permutation,
     ResourceCapError,
     SubsetFamily,
     all_masks,
     clique_graph,
     edge_bit_pairs,
     edge_index,
-    edge_mask_to_graph,
     elements_of,
     full_mask,
     graph_to_edge_mask,
     mask_leq,
     monotone_cover,
     pair_masks,
-    permute_graph,
-    restrict_graph,
 )
 from .schedules import RateSchedule
 
@@ -97,6 +93,18 @@ def _presence(rate: float) -> float:
     return -math.expm1(-rate)
 
 
+def _absent_rate(n: int, rates: list[float], present: Iterable[int], smallest: int) -> float:
+    """Sum over r >= ``smallest`` of (C(n, r) - #``present`` of size r) * rates[r],
+    each count split into its bits, so every addend is exact and ``math.fsum``
+    rounds once; math.inf when a partial sum leaves the float range."""
+    sizes = [a.bit_count() for a in present]
+    counts = [(r, math.comb(n, r) - sizes.count(r)) for r in range(smallest, n + 1)]
+    try:
+        return math.fsum(math.ldexp(rates[r], j) for r, k in counts for j in range(k.bit_length()) if k >> j & 1)
+    except OverflowError:
+        return math.inf
+
+
 def clique_set(graph: Graph) -> tuple[int, ...]:
     """Every vertex mask of cardinality >= 2 inducing a complete subgraph, ascending."""
     return _cliques(graph.n, graph_to_edge_mask(graph))
@@ -105,6 +113,11 @@ def clique_set(graph: Graph) -> tuple[int, ...]:
 def _cliques(n: int, edges: int) -> tuple[int, ...]:
     pmt = pair_masks(n)
     return tuple(a for a in all_masks(n) if a.bit_count() >= 2 and pmt[a] & ~edges == 0)
+
+
+def _suffix_unions(cliques: tuple[int, ...], pair_mask: Mapping[int, int]) -> list[int]:
+    """Entry i: the union of the pair masks of ``cliques[i:]``."""
+    return list(itertools.accumulate(reversed(cliques), lambda u, a: u | pair_mask[a], initial=0))[::-1]
 
 
 def _cover_weight(
@@ -119,10 +132,7 @@ def _cover_weight(
     Once every target edge is covered the remaining cliques integrate out to a
     factor 1, so the walk is memoized on (position, still-uncovered edges).
     """
-    k = len(cliques)
-    suffix = [0] * (k + 1)
-    for i in range(k - 1, -1, -1):
-        suffix[i] = suffix[i + 1] | pair_mask[cliques[i]]
+    suffix = _suffix_unions(cliques, pair_mask)
     memo: dict[tuple[int, int], float] = {}
 
     def walk(i: int, needed: int) -> float:
@@ -157,9 +167,7 @@ def enumerate_monotone_covers(graph: Graph) -> CoverEnumeration:
     pmt = pair_masks(graph.n)
     target = graph_to_edge_mask(graph)
     k = len(cliques)
-    suffix = [0] * (k + 1)
-    for i in range(k - 1, -1, -1):
-        suffix[i] = suffix[i + 1] | pmt[cliques[i]]
+    suffix = _suffix_unions(cliques, pmt)
 
     covers: list[GeneratingClass] = []
     chosen: list[int] = []
@@ -198,10 +206,11 @@ def family_point_prob(family: SubsetFamily, schedule: RateSchedule) -> float:
 
 
 def interval_prob(family: SubsetFamily, schedule: RateSchedule) -> float:
-    """P(support <= family), i.e. no subset outside the family is present."""
-    rates = _size_rates(schedule, family.n)
-    outside = sum(rates[a.bit_count()] for a in all_masks(family.n) if a not in family.members)
-    return math.exp(-outside)
+    """P(support <= family), i.e. no subset outside the family is present:
+    exp of minus their total rate, one exact sum by sizes (``_absent_rate``),
+    so 0.0 when it overflows.  The power-set cap applies as to a subset loop."""
+    all_masks(family.n)
+    return math.exp(-_absent_rate(family.n, _size_rates(schedule, family.n), family.members, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -211,8 +220,7 @@ def interval_prob(family: SubsetFamily, schedule: RateSchedule) -> float:
 def _graph_rates(schedule: RateSchedule, n: int) -> list[float]:
     """lambda_n(0..n); ValueError when sum_r C(n, r) lambda_n(r), r >= 2, overflows."""
     rates = _size_rates(schedule, n)
-    total = sum(math.comb(n, r) * rates[r] for r in range(2, n + 1))
-    if not math.isfinite(total):
+    if not math.isfinite(total := _absent_rate(n, rates, (), 2)):
         raise ValueError(f"level {n}: the total rate of subsets with at least two elements overflows ({total})")
     return rates
 
@@ -446,10 +454,7 @@ def _prob(n: int, rates: list[float], edges: int, cliques: tuple[int, ...], cap:
     pmt = pair_masks(n)
     presence = {a: _presence(rates[a.bit_count()]) for a in cliques}
     weight = _cover_weight(cliques, presence, pmt, edges)
-    # each count of absent r-subsets split into its bits: exact terms, which fsum rounds once
-    counts = [(r, math.comb(n, r) - sum(a.bit_count() == r for a in cliques)) for r in range(2, n + 1)]
-    absent = math.fsum(rates[r] * (1 << j) for r, k in counts for j in range(k.bit_length()) if k >> j & 1)
-    return math.exp(-absent) * weight
+    return math.exp(-_absent_rate(n, rates, cliques, 2)) * weight
 
 
 def _cell(n: int, rates: list[float], edges: int) -> float:
@@ -481,8 +486,7 @@ def _cell(n: int, rates: list[float], edges: int) -> float:
             neighbours[j] |= 1 << i - 1
     v = min(range(n, 0, -1), key=lambda u: (pmt[neighbours[u]] & edges).bit_count())
     if v != n:
-        swap = Permutation(tuple(n if x == v else v if x == n else x for x in range(1, n + 1)))
-        edges = graph_to_edge_mask(permute_graph(edge_mask_to_graph(n, edges), swap))
+        edges = sum(1 << d for b, d in enumerate(_swap_bits(n, v, n)) if edges >> b & 1)
     below = (n - 1) * (n - 2) // 2
     lower, star = edges & (1 << below) - 1, edges >> below
     inner, size = pmt[star] & lower, star.bit_count()
@@ -498,11 +502,10 @@ def _cell(n: int, rates: list[float], edges: int) -> float:
             cells = np.concatenate((cells, cells | 1 << b))
             touched = np.concatenate((touched, touched | 1 << i - 1 | 1 << j - 1))
     factors = np.array([math.exp(-outside) * p1 ** (star & ~t).bit_count() for t in range(1 << n - 1)])
-    g = _positive_law(n - 1, rates[1:])[cells] * factors[touched]
-    for i in range(inner.bit_count()):
-        pairs = g.reshape(-1, 2, 1 << i)
-        pairs[:, 0] += pairs[:, 1]
-    terms = _positive_law(n - 1, rates[:n])[lower & ~inner | cells] * g[::-1]
+    # g in reverse, so that its subset sums are Q at the complement of each D
+    q = _positive_law(n - 1, rates[1:])[cells[::-1]] * factors[touched[::-1]]
+    _passes(q, range(inner.bit_count()), np.add)
+    terms = _positive_law(n - 1, rates[:n])[lower & ~inner | cells] * q
     while terms.size > 1:  # pairwise, the same float on every NumPy version
         terms = terms[1::2] + terms[0::2]
     return float(terms[0])
@@ -720,7 +723,7 @@ def classify_extension(
     n = support.n
     if observed.n != n + 1:
         raise ValueError(f"observed graph must have {n + 1} vertices, got {observed.n}")
-    if restrict_graph(observed, n) != clique_graph(monotone_cover(support)):
+    if {e for e in observed.edges if e[1] <= n} != clique_graph(monotone_cover(support)).edges:
         raise ValueError("observed graph restricted to the old vertices contradicts the known support")
     members = support.sorted_masks()
     if len(members) > EXTENSION_MEMBERS_CAP:
@@ -781,12 +784,17 @@ def marginal_restriction_check(
     return float(np.abs(_law(m, pushed) - law_m).max())
 
 
+def _swap_bits(n: int, j: int, m: int) -> list[int]:
+    """Entry b: the edge bit that the swap of vertices j and m moves edge bit b to."""
+    rename = {j: m, m: j}
+    return [edge_index(*sorted((rename.get(x, x), rename.get(y, y)))) for x, y in edge_bit_pairs(n)]
+
+
 def _swap_axes(n: int, j: int, m: int) -> list[int]:
     """The transpose of the (2,) * C(n,2) edge cube that swaps vertices j and
     m.  In C order axis t carries edge bit top - t, and the swap moves edge
     bit b to dest[b]."""
-    rename = {j: m, m: j}
-    dest = [edge_index(*sorted((rename.get(x, x), rename.get(y, y)))) for x, y in edge_bit_pairs(n)]
+    dest = _swap_bits(n, j, m)
     top = len(dest) - 1
     return [top - dest[top - t] for t in range(len(dest))]
 

@@ -21,7 +21,6 @@ from typing import Mapping
 
 from .lattice import GeneratingClass, Graph, SubsetFamily, elements_of, mask_of
 from .sampling import PipelineSample, PointProcessRealization
-from .schedules import schedule_from_dict
 
 FORMAT_VERSION = 1
 
@@ -39,7 +38,6 @@ __all__ = [
     "realization_from_dict",
     "sample_to_dict",
     "sample_from_dict",
-    "schedule_from_dict",
 ]
 
 

@@ -10,8 +10,9 @@ draws rebuild each subset's Philox stream from its own uint64 key, one subset
 at a time, without the sampler's loop.  The 50-digit ``decimal`` references
 (standard library only) give relative accuracy where float sums cannot: the
 clique walk costs one memoized include/exclude step per clique, so keep the
-clique count small.  The extension enumeration lists all 3^k choices for k
-support members, so keep k <= 8.
+clique count small; the 60-digit interval sum visits all 2^n masks, so keep
+n <= 16.  The extension enumeration lists all 3^k choices for k support
+members, so keep k <= 8.
 """
 
 import decimal
@@ -107,6 +108,16 @@ def decimal_point_mass(members: frozenset[int], n: int, schedule) -> decimal.Dec
             hit, miss = factors[a.bit_count()]
             prob *= hit if a in members else miss
         return prob
+
+
+def decimal_interval_prob(members, n: int, schedule) -> decimal.Decimal:
+    """P(no subset of [n] outside ``members`` is present) to 60 digits: the rate
+    of every absent mask, added one mask at a time."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        rates = [decimal.Decimal(schedule.rate(n, r)) for r in range(n + 1)]
+        outside = sum((rates[a.bit_count()] for a in range(1 << n) if a not in members), decimal.Decimal(0))
+        return (-outside).exp()
 
 
 def decimal_graph_prob(edges, n: int, schedule) -> decimal.Decimal:

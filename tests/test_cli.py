@@ -699,6 +699,15 @@ def test_schedule_with_a_non_canonical_level_key_exits_2(capsys):
     assert "'03'" in err
 
 
+def test_classify_extends_a_level_0_support(capsys):
+    argv = ["classify", "--support", '{"n":0,"members":[[]]}', "--graph", '{"n":1,"edges":[]}', "--schedule", GEOM_HALF]
+    code, doc = run_json(argv, capsys)
+    assert code == 0
+    candidates = doc["results"]["candidates"]
+    assert [candidate["family"]["members"] for candidate in candidates] == [[[]], [[], [1]], [[1]]]
+    assert math.isclose(sum(candidate["prob"] for candidate in candidates), 1.0, rel_tol=1e-15)
+
+
 def test_classify_member_cap_exits_3_without_stdout(capsys):
     support = json.dumps({"n": 4, "members": [[i for i in range(1, 5) if a >> (i - 1) & 1] for a in range(13)]})
     graph = '{"n":5,"edges":[[1,2],[1,3],[1,4],[2,3],[2,4],[3,4]]}'

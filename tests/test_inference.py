@@ -59,6 +59,7 @@ from oracles import (
     butterfly_law,
     covered_pairs,
     decimal_graph_prob,
+    decimal_interval_prob,
     decimal_point_mass,
     event_prob,
     extension_weights,
@@ -161,6 +162,36 @@ def test_interval_prob_is_sum_of_lower_point_masses():
             chosen = frozenset(m for b, m in enumerate(member_list) if sub >> b & 1)
             total += family_point_prob(SubsetFamily(n, chosen), schedule)
         assert math.isclose(interval_prob(family, schedule), total, abs_tol=1e-12)
+
+
+@pytest.mark.parametrize("n", [8, 12, 16])
+def test_interval_and_point_probs_keep_relative_accuracy(n):
+    # table rows scaled so that the level's total rate, the empty family's
+    # exponent, is 1, 50, 300 or 700; families of 0-50 random members.  Both
+    # functions stay within 1e-13 relative of the 60-digit sum (the 50-digit
+    # point mass) wherever that is a normal float, down past 1e-300
+    rng = random.Random(24 + n)
+    smallest = decimal.Decimal(sys.float_info.min)
+    for total in (1.0, 50.0, 300.0, 700.0):
+        for _ in range(10):
+            row = [rng.random() for _ in range(n + 1)]
+            scale = total / math.fsum(math.comb(n, r) * x for r, x in enumerate(row))
+            schedule = TableSchedule({n: tuple(x * scale for x in row)})
+            family = SubsetFamily(n, frozenset(rng.sample(range(1 << n), rng.randint(0, 50))))
+            exact = decimal_interval_prob(family.members, n, schedule)
+            if exact >= smallest:
+                assert relative_error(interval_prob(family, schedule), exact) <= decimal.Decimal("1e-13")
+            exact = decimal_point_mass(family.members, n, schedule)
+            if exact >= smallest:
+                assert relative_error(family_point_prob(family, schedule), exact) <= decimal.Decimal("1e-13")
+
+
+def test_interval_and_point_probs_read_zero_when_the_exponent_overflows():
+    # every rate is finite, but the rates of the absent subsets add past the float range
+    schedule = TableSchedule({3: (1e308,) * 4})
+    for family in SubsetFamily(3, frozenset()), SubsetFamily.from_sets(3, [[1, 2, 3]]):
+        assert interval_prob(family, schedule) == 0.0
+        assert family_point_prob(family, schedule) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -679,6 +710,20 @@ def test_classify_when_the_level_survival_underflows():
     assert list(distribution.values()) == [1.0, distribution[moved]]
     assert math.isclose(distribution[moved], math.exp(-schedule.rate(3, 2)), rel_tol=1e-13)
     assert 0.0 < distribution[moved] < 1e-100
+
+
+def test_classify_extends_a_level_0_support():
+    # the evidence on the old vertices is the empty graph on [0]; the one new
+    # vertex has no neighbour, so the empty set stays, moves to {1}, or both
+    schedule = GeometricSchedule(alpha=0.5, c=1.0)
+    observed = Graph(1, frozenset())
+    distribution = classify_extension(SubsetFamily(0, frozenset({0})), observed, schedule)
+    weights = extension_weights(frozenset({0}), 0, observed.edges, schedule)
+    total = math.fsum(weights.values())
+    assert [family.members for family in distribution] == [frozenset({0}), frozenset({0, 1}), frozenset({1})]
+    for family, prob in distribution.items():
+        assert math.isclose(prob, weights[family.members] / total, rel_tol=1e-13)
+    assert classify_extension(SubsetFamily(0, frozenset()), observed, schedule) == {SubsetFamily(1, frozenset()): 1.0}
 
 
 def test_classify_member_cap_counts_every_member():
