@@ -157,15 +157,18 @@ def _cover_weight(
         del walk
 
 
+def _walk_setup(graph: Graph, walk: str) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+    """``graph``'s cliques, pair masks and edge mask; ResourceCapError past CLIQUE_SUBSET_CAP cliques."""
+    edges = graph_to_edge_mask(graph)
+    cliques = _cliques(graph.n, edges)
+    if len(cliques) > CLIQUE_SUBSET_CAP:
+        raise ResourceCapError(f"graph has {len(cliques)} cliques, {walk} cap is {CLIQUE_SUBSET_CAP}")
+    return cliques, pair_masks(graph.n), edges
+
+
 def enumerate_monotone_covers(graph: Graph) -> CoverEnumeration:
     """All generating classes of cliques (cardinality >= 2) projecting exactly to ``graph``."""
-    cliques = clique_set(graph)
-    if len(cliques) > CLIQUE_SUBSET_CAP:
-        raise ResourceCapError(
-            f"graph has {len(cliques)} cliques, enumeration cap is {CLIQUE_SUBSET_CAP}"
-        )
-    pmt = pair_masks(graph.n)
-    target = graph_to_edge_mask(graph)
+    cliques, pmt, target = _walk_setup(graph, "enumeration")
     k = len(cliques)
     suffix = _suffix_unions(cliques, pmt)
 
@@ -440,14 +443,15 @@ def graph_prob(graph: Graph, schedule: RateSchedule, *, cap: int | None = None) 
     before any level-sized sum, the level cap of ``graph_law`` to the split.
     Raises ValueError when the level's total rate overflows.
     """
-    cliques = clique_set(graph)  # the power-set cap, before the level total
-    return _prob(graph.n, _graph_rates(schedule, graph.n), graph_to_edge_mask(graph), cliques, cap)
+    pair_masks(graph.n)  # the power-set cap, before the level total
+    return _prob(graph.n, _graph_rates(schedule, graph.n), graph_to_edge_mask(graph), cap)
 
 
-def _prob(n: int, rates: list[float], edges: int, cliques: tuple[int, ...], cap: int | None = None) -> float:
-    """P(graph = ``edges``) on [n] under the size rates ``rates``, given its
-    ``cliques``: the clique walk, the absent subsets priced by one non-negative
-    exponent, up to CLIQUE_SUBSET_CAP of them, else ``_cell`` (level cap)."""
+def _prob(n: int, rates: list[float], edges: int, cap: int | None = None) -> float:
+    """P(graph = ``edges``) on [n] under the size rates ``rates``: the clique
+    walk, the absent subsets priced by one non-negative exponent, up to
+    CLIQUE_SUBSET_CAP cliques, else ``_cell`` (level cap)."""
+    cliques = _cliques(n, edges)
     if len(cliques) > CLIQUE_SUBSET_CAP:
         _law_cap(n, cap)
         return _cell(n, rates, edges)
@@ -492,8 +496,7 @@ def _cell(n: int, rates: list[float], edges: int) -> float:
     inner, size = pmt[star] & lower, star.bit_count()
     p1, outside = _presence(rates[2]), (n - 1 - size) * rates[2]
     if not inner:
-        below_cell = _prob(n - 1, rates[:n], lower, _cliques(n - 1, lower))
-        return math.exp(-outside) * p1**size * _prob(n - 1, rates[1:], 0, ()) * below_cell
+        return math.exp(-outside) * p1**size * _prob(n - 1, rates[1:], 0) * _prob(n - 1, rates[:n], lower)
     # every D inside E(e[N]), bit i of its position carrying the i-th edge of
     # ``inner``: its edge mask and the vertices its edges touch
     cells, touched = np.zeros(1, np.int32), np.zeros(1, np.uint8)
@@ -656,20 +659,16 @@ def _conditional_setup(subset: int, graph: Graph, schedule: RateSchedule):
         raise ValueError("cluster queries need at least two vertices")
     if subset & ~full_mask(graph.n):
         raise ValueError(f"subset {elements_of(subset)} exceeds vertex set [{graph.n}]")
-    cliques = clique_set(graph)
-    if len(cliques) > CLIQUE_SUBSET_CAP:
-        raise ResourceCapError(f"graph has {len(cliques)} cliques, conditional cap is {CLIQUE_SUBSET_CAP}")
+    cliques, pmt, edges = _walk_setup(graph, "conditional")
     rates = _size_rates(schedule, graph.n)
-    presence = {a: _presence(rates[a.bit_count()]) for a in cliques}
-    pmt = pair_masks(graph.n)
-    return cliques, presence, pmt, graph_to_edge_mask(graph)
+    return cliques, {a: _presence(rates[a.bit_count()]) for a in cliques}, pmt, edges
 
 
-def _positive(weight: float) -> float:
-    """The graph's cover weight ``weight``; ValueError when it is zero."""
-    if weight == 0.0:
+def _given_graph(weight: float, graph_weight: float) -> float:
+    """``weight`` over the graph's cover weight ``graph_weight``; ValueError when that is zero."""
+    if graph_weight == 0.0:
         raise ValueError("graph has probability zero under this schedule")
-    return weight
+    return weight / graph_weight
 
 
 def cluster_prob(subset: int, graph: Graph, schedule: RateSchedule) -> float:
@@ -684,10 +683,9 @@ def cluster_prob(subset: int, graph: Graph, schedule: RateSchedule) -> float:
                 f"{elements_of(subset)} is not a clique of the graph, so it cannot be a cluster"
             )
     cliques, presence, pmt, target = _conditional_setup(subset, graph, schedule)
-    denom = _positive(_cover_weight(cliques, presence, pmt, target))
     rest = tuple(a for a in cliques if a != subset)
     numerator = presence[subset] * _cover_weight(rest, presence, pmt, target & ~pmt[subset])
-    return numerator / denom
+    return _given_graph(numerator, _cover_weight(cliques, presence, pmt, target))
 
 
 def coarse_cluster_prob(subset: int, graph: Graph, schedule: RateSchedule) -> float:
@@ -707,7 +705,7 @@ def coarse_cluster_prob(subset: int, graph: Graph, schedule: RateSchedule) -> fl
         some += none_present * presence[a] * _cover_weight(rest + supersets[i + 1 :], presence, pmt, needed)
         none_present *= 1.0 - presence[a]
     none = none_present * _cover_weight(rest, presence, pmt, target)
-    return some / _positive(some + none)
+    return _given_graph(some, some + none)
 
 
 def classify_extension(
@@ -717,8 +715,9 @@ def classify_extension(
 
     Every member e stays, gains the new vertex v, or both.  The evidence fixes
     only N(v): a member outside it stays, and the members gaining v must cover
-    it exactly.  Every subset other than e and e + v is absent from every
-    candidate, so a candidate is weighed by its members' factors alone.
+    it exactly.  Every candidate shares the absence of every other subset and
+    the staying members' presences, so it is weighed by the other members'
+    factors alone, each member's three scaled exactly by one power of two.
     """
     n = support.n
     if observed.n != n + 1:
@@ -734,22 +733,22 @@ def classify_extension(
     p = [_presence(rate) for rate in rates]
     s = [math.exp(-rate) for rate in rates]
     stays = frozenset(f for f in members if f & ~neighbours)
-    options = [  # (members kept, factor, vertices joined to v) for stay, gain v, both
-        (((e,), p[r] * s[r + 1], 0), ((e | v,), s[r] * p[r + 1], e), ((e, e | v), p[r] * p[r + 1], e))
-        for e, r in ((e, e.bit_count()) for e in members if e not in stays)
-    ]
-    common = math.prod(p[f.bit_count()] for f in stays)
+    options = []  # (members kept, factor, vertices joined to v) for stay, gain v, both
+    for e, r in ((e, e.bit_count()) for e in members if e not in stays):
+        factors = p[r] * s[r + 1], s[r] * p[r + 1], p[r] * p[r + 1]
+        shift = -math.frexp(max(factors))[1]
+        stay, gain, both = (math.ldexp(x, shift) for x in factors)
+        options.append((((e,), stay, 0), ((e | v,), gain, e), ((e, e | v), both, e)))
 
     candidates: list[tuple[SubsetFamily, float]] = []
     for picks in itertools.product(*options):
         if functools.reduce(operator.or_, (joined for _, _, joined in picks), 0) == neighbours:
             masks = stays.union(*(kept for kept, _, _ in picks))
-            weight = common * math.prod(factor for _, factor, _ in picks)
-            candidates.append((SubsetFamily(n + 1, masks), weight))
+            candidates.append((SubsetFamily(n + 1, masks), math.prod(factor for _, factor, _ in picks)))
     if not candidates:
         raise InconsistentEvidenceError("no support on the extended vertex set matches the evidence")
     total = math.fsum(w for _, w in candidates)
-    if total == 0.0:
+    if total == 0.0 or any(p[f.bit_count()] == 0.0 for f in stays):
         raise InconsistentEvidenceError("every support matching the evidence has probability zero")
     candidates.sort(key=lambda item: item[0].sorted_masks())
     return {family: weight / total for family, weight in candidates}

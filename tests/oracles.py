@@ -86,9 +86,18 @@ DECIMAL_DIGITS = 50
 
 
 def _decimal_factors(rate: float) -> tuple[decimal.Decimal, decimal.Decimal]:
-    """(1 - e^{-rate}, e^{-rate}) to the current context's precision."""
-    survival = (-decimal.Decimal(rate)).exp()
-    return 1 - survival, survival
+    """(1 - e^{-rate}, e^{-rate}) to the current context's precision.
+
+    1 - e^{-rate} is about rate, so the subtraction cancels about -log10(rate)
+    leading digits: e^{-rate} is taken with that many more digits, and both
+    are rounded back to the context's precision.
+    """
+    rate = decimal.Decimal(rate)
+    with decimal.localcontext() as ctx:
+        ctx.prec += max(0, -rate.adjusted())
+        survival = (-rate).exp()
+        hit = 1 - survival
+    return +hit, +survival
 
 
 @functools.lru_cache(maxsize=None)

@@ -826,3 +826,36 @@ def test_schedule_check_shorthand_echoes_the_parsed_schedule(capsys):
     code, doc = run_json(argv, capsys)
     assert code == 0
     assert doc["schedule"] == {"kind": "beta_uniform", "c": 1.0}
+
+
+def test_mc_vs_exact_rejects_no_draws_and_an_alpha_outside_the_unit_interval(capsys):
+    from poissonclique import cli
+    from poissonclique.schedules import GeometricSchedule
+
+    schedule = GeometricSchedule(alpha=0.5)
+    with pytest.raises(ValueError, match="draws must be positive"):
+        cli.mc_vs_exact(schedule, 3, 0, 1)
+    with pytest.raises(ValueError, match="alpha must lie in"):
+        cli.mc_vs_exact(schedule, 3, 10, 1, alpha=1.5)
+    code, out, err = run_cli(["mc-vs-exact", "--schedule", GEOM_HALF, "--n", "3", "--seed", "1", "--draws", "0"], capsys)
+    assert (code, out) == (2, "")
+    assert "draws must be positive" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["cluster-prob", "--graph", TRIANGLE, "--subset", '{"a":1}', "--schedule", LN2_TABLE_3], "--subset must be"),
+        (["schedule", "derive", "--row", "3"], "--row must be"),
+    ],
+)
+def test_json_flags_of_the_wrong_shape_exit_2(argv, message, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "")
+    assert message in err
+
+
+def test_cluster_prob_past_the_conditional_cap_exits_3(capsys):
+    code, out, err = run_cli(["cluster-prob", "--graph", K6, "--subset", "[1,2]", "--schedule", GEOM_HALF], capsys)
+    assert (code, out) == (3, "")
+    assert "graph has 57 cliques, conditional cap is 24" in err

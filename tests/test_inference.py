@@ -56,6 +56,7 @@ from poissonclique.schedules import (
 
 from oracles import (
     DECIMAL_DIGITS,
+    _decimal_factors,
     butterfly_law,
     covered_pairs,
     decimal_graph_prob,
@@ -627,6 +628,16 @@ def relative_error(got: float, exact: decimal.Decimal) -> decimal.Decimal:
         return abs(decimal.Decimal(got) - exact) / exact
 
 
+def test_decimal_factors_keep_their_digits_at_small_rates():
+    # 1 - e^{-rate} cancels about 300 leading digits of e^{-rate} at rate 1e-300
+    rate = decimal.Decimal(1e-300)
+    with decimal.localcontext() as ctx:
+        ctx.prec = DECIMAL_DIGITS
+        hit, miss = _decimal_factors(1e-300)
+        assert abs(hit - (rate - rate * rate / 2)) <= rate * decimal.Decimal("1e-48")
+        assert miss == 1
+
+
 def _extension_case(rng: random.Random):
     # a support of at most 8 members on [n], n = 1..6, and the graph of one of its
     # extensions; one case in five toggles an edge at the new vertex, which may
@@ -737,6 +748,47 @@ def test_classify_member_cap_counts_every_member():
         else:
             # N(5) is empty: every member but the empty set must stay
             assert len(classify_extension(support, observed, schedule)) == 3
+
+
+TINY_RATES = GeometricSchedule(alpha=1e-8, c=1e-12)
+
+
+def _triples_and_empty_set(k: int) -> tuple[SubsetFamily, Graph]:
+    # the first k triples of [6] and the empty set; N(7) is empty, so every
+    # triple stays and only the empty set may gain vertex 7
+    triples = [mask_of(t, 6) for t in itertools.combinations(range(1, 7), 3)][:k]
+    support = SubsetFamily(6, frozenset(triples) | {0})
+    return support, Graph(7, clique_graph(monotone_cover(support)).edges)
+
+
+def _pairs_and_triples_of_4() -> tuple[SubsetFamily, Graph]:
+    # every pair and triple of [4], all inside N(5) = [4], so none has to stay
+    support = SubsetFamily.from_sets(4, [s for r in (2, 3) for s in itertools.combinations(range(1, 5), r)])
+    return support, Graph(5, clique_graph(monotone_cover(support)).edges | {(i, 5) for i in range(1, 5)})
+
+
+@pytest.mark.parametrize(
+    "case",
+    [lambda: _triples_and_empty_set(8), lambda: _triples_and_empty_set(11), _pairs_and_triples_of_4],
+    ids=["8-staying-triples", "11-staying-triples", "pairs-and-triples-of-4"],
+)
+def test_classify_keeps_relative_accuracy_when_point_masses_underflow(case):
+    # under rates near 1e-12 .. 1e-44 a candidate's point mass, and even the
+    # product of the staying members' presences (about 1e-288 for 8 triples,
+    # 1e-396 for 11), leaves the float range; the posterior is a ratio of
+    # candidates and is answered within 1e-13 of 50-digit point masses
+    support, observed = case()
+    distribution = classify_extension(support, observed, TINY_RATES)
+    exact = {f: decimal_point_mass(f.members, observed.n, TINY_RATES) for f in distribution}
+    with decimal.localcontext() as ctx:
+        ctx.prec = DECIMAL_DIGITS
+        exact_total = sum(exact.values())
+        checked = 0
+        for family, prob in distribution.items():
+            if prob >= 1e-290:
+                assert relative_error(prob, exact[family] / exact_total) <= decimal.Decimal("1e-13")
+                checked += 1
+    assert checked >= 0.99 * len(distribution)
 
 
 # ---------------------------------------------------------------------------
@@ -1406,3 +1458,16 @@ def test_large_finite_level_total_keeps_its_bits():
     assert_same_bits(law, butterfly_law(3, level_rates(schedule, 3)))
     assert not np.isnan(law).any()
     assert graph_prob(TRIANGLE, schedule) == 1.0
+
+
+def test_conditionals_past_the_clique_cap():
+    # K6 has 57 cliques
+    k6 = Graph.from_edges(6, list(itertools.combinations(range(1, 7), 2)))
+    for query in cluster_prob, coarse_cluster_prob:
+        with pytest.raises(ResourceCapError, match="graph has 57 cliques, conditional cap is 24"):
+            query(mask_of([1, 2], 6), k6, GeometricSchedule(alpha=0.5))
+
+
+def test_classify_rejects_an_observed_graph_of_the_wrong_size():
+    with pytest.raises(ValueError, match="observed graph must have 3 vertices, got 4"):
+        classify_extension(SubsetFamily.from_sets(2, [[1, 2]]), Graph(4, frozenset()), GeometricSchedule(alpha=0.5))

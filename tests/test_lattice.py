@@ -397,3 +397,22 @@ def test_pair_masks_match_clique_graph():
 def test_pair_masks_equal_the_combinations_oracle():
     for n in range(13):
         assert pair_masks(n) == tuple(pairs_inside(a, n) for a in range(1 << n))
+
+
+def test_graph_restriction_and_relabeling_argument_errors():
+    k3 = Graph.from_edges(3, [(1, 2), (1, 3), (2, 3)])
+    with pytest.raises(ValueError, match="non-negative"):
+        Graph(-1, frozenset())
+    with pytest.raises(ValueError, match="outside 1..3"):
+        restrict_graph(k3, 0)
+    with pytest.raises(ValueError, match="permutation size 2 != vertex count 3"):
+        permute_graph(k3, Permutation((2, 1)))
+
+
+def test_extension_and_family_space_caps():
+    with pytest.raises(ResourceCapError, match="2\\*\\*17 submasks"):
+        preimage_sup(SubsetFamily(0, frozenset()), 17)
+    with pytest.raises(ResourceCapError, match="family-space iteration"):
+        next(all_families(5))
+    with pytest.raises(ResourceCapError, match="antichain iteration"):
+        next(all_antichains(5))

@@ -354,6 +354,27 @@ def test_inversion_returns_where_the_float_cdf_stops_short_of_the_uniform():
     assert completed.stdout == "[10, 47, 694, 925]\n"
 
 
+@pytest.mark.parametrize("rate, count, exact", [(0.1, 10, 9), (10.0, 47, 45)])
+def test_poisson_inversion_stops_where_a_term_no_longer_moves_the_sum(rate, count, exact):
+    # in this process, unlike the child above: at TOP_UNIFORM the walk
+    # stops at the first term too small to move the sum, a count or two past
+    # the exact inverse, the least k whose 60-digit CDF exceeds u
+    import decimal
+
+    u = TOP_UNIFORM
+    assert _poisson_from_uniform(u, rate) == count
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        lam = decimal.Decimal(rate)
+        term = cdf = (-lam).exp()
+        k = 0
+        while cdf <= decimal.Decimal(u):
+            k += 1
+            term *= lam / k
+            cdf += term
+    assert k == exact
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     u=st.one_of(st.floats(0.0, 1.0, exclude_max=True), st.integers(1, 1 << 20).map(lambda i: 1.0 - i * 2.0**-53)),
@@ -371,3 +392,8 @@ def test_large_rate_uses_library_sampler():
     count = realization.counts[0b1]
     # 6 sigma around the mean of Poisson(900)
     assert abs(count - 900) < 6 * math.sqrt(900)
+
+
+def test_graph_batch_rejects_negative_draws():
+    with pytest.raises(ValueError, match="draws must be non-negative"):
+        sample_graph_batch(GeometricSchedule(alpha=0.5), 3, -1, 0)

@@ -354,3 +354,8 @@ def test_integer_reals_read_as_floats():
     assert table.to_dict()["rows"] == {"1": [0.0, 2.0]}
     # the library constructors keep taking Python numbers
     assert derive_lower([1, 0]).to_dict()["rows"]["0"] == [1.0]
+
+
+def test_table_rejects_a_negative_level():
+    with pytest.raises(ValueError, match="level -1 must be non-negative"):
+        TableSchedule({-1: ()})

@@ -137,3 +137,8 @@ def test_require_int_accepts_only_int():
     for bad in (7.0, True, "7", None):
         with pytest.raises(ValueError, match="x must be an integer"):
             require_int(bad, "x")
+
+
+def test_family_rejects_a_member_that_is_not_a_list():
+    with pytest.raises(ValueError, match="malformed member list"):
+        family_from_dict({"n": 2, "members": [1]})
