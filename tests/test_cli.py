@@ -524,6 +524,9 @@ COLD_COMMANDS = [
     ["classify", "--support", '{"n":2,"members":[[1,2]]}', "--graph", TRIANGLE, "--schedule", GEOM_HALF],
     ["schedule", "check", "--kind", "geometric", "--alpha", "0.5", "--c", "1", "--nmax", "6"],
     ["schedule", "derive", "--row", "[0.125,0.125,0.125,0.125]"],
+    # single draws up to level 6 run their Philox rounds on Python ints
+    ["sample", "--schedule", GEOM_HALF, "--n", "4", "--seed", "29"],
+    ["sample", "--schedule", GEOM_HALF, "--n", "6", "--seed", "29", "--method", "bernoulli"],
 ]
 COLD_IMPORT_SCRIPT = """
 import contextlib, io, json, sys
@@ -536,7 +539,7 @@ def run(argv):
 for argv in json.loads(sys.argv[1]):
     run(argv)
 assert "numpy" not in sys.modules, "a command without arrays imported numpy"
-run(["sample", "--schedule", %r, "--n", "3", "--seed", "1"])
+run(["sample", "--schedule", %r, "--n", "7", "--seed", "1"])
 assert "numpy" in sys.modules, "sample drew without numpy"
 """ % GEOM_HALF
 
@@ -552,6 +555,32 @@ def test_commands_without_arrays_never_import_numpy():
         env=env,
     )
     assert completed.returncode == 0, completed.stderr
+
+
+# with numpy blocked, any import of it raises ImportError
+BLOCKED_NUMPY_SCRIPT = """
+import json, sys
+sys.modules["numpy"] = None
+import poissonclique.cli as cli
+sys.exit(cli.main(json.loads(sys.argv[1])))
+"""
+
+
+def test_readme_draw_prints_its_golden_bytes_with_numpy_blocked():
+    argv = ["sample", "--schedule", GEOM_HALF, "--n", "4", "--seed", "29"]
+    golden = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text())
+    (case,) = [case for case in golden["cases"] if case["argv"] == argv]
+    package_root = str(Path(poissonclique.__file__).resolve().parent.parent)
+    inherited = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=package_root + (os.pathsep + inherited if inherited else ""))
+    completed = subprocess.run(
+        [sys.executable, "-c", BLOCKED_NUMPY_SCRIPT, json.dumps(argv)],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert completed.returncode == case["exit"] == 0, completed.stderr
+    assert completed.stdout == case["stdout"]
 
 
 SERIAL_KERNEL_SCRIPT = """

@@ -26,6 +26,7 @@ from poissonclique.lattice import (
 )
 from poissonclique.sampling import (
     METHOD_BERNOULLI,
+    _SCALAR_MAX_N,
     PointProcessRealization,
     _first_uniforms,
     _graph_batches,
@@ -152,6 +153,14 @@ def test_samplers_match_the_uint64_key_oracle(case, draws):
 @settings(max_examples=30, deadline=None)
 @given(n=st.integers(0, 10), seed=st.integers(0, (1 << 64) - 1) | ODD_HIGH_SEEDS)
 def test_first_uniforms_equal_numpy_philox_bit_for_bit(n, seed):
+    uniforms = _first_uniforms(seed, n)
+    assert uniforms == [keyed_stream(seed, a).random() for a in range(1 << n)]
+
+
+@pytest.mark.parametrize("n", [_SCALAR_MAX_N, _SCALAR_MAX_N + 1])
+@pytest.mark.parametrize("seed", [0, 29, (1 << 63) + 1, (1 << 64) - 1])
+def test_first_uniforms_on_both_sides_of_the_scalar_cap(n, seed):
+    # the last level on Python ints and the first on the vectorised pass
     uniforms = _first_uniforms(seed, n)
     assert uniforms == [keyed_stream(seed, a).random() for a in range(1 << n)]
 
