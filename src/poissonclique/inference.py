@@ -9,7 +9,9 @@ complements.  Two computation paths are used:
 
 * per-graph: the absent subsets, those not cliques of G, priced by one exponent
   of non-negative terms, times the sum over subsets of cliques(G) whose pairs
-  exactly cover E(G), a memoized walk, up to CLIQUE_SUBSET_CAP cliques.
+  exactly cover E(G), one forward pass over the cliques (``_cover_weight``),
+  up to CLIQUE_SUBSET_CAP cliques.  The cluster conditionals are ratios of two
+  such passes.
   A graph with more cliques splits off one vertex (``_cell``), which needs the
   whole laws one level down; the vertex step (``_positive_law``) builds them
   from sums of non-negative terms, so no cell of this path cancels.
@@ -115,46 +117,41 @@ def _cliques(n: int, edges: int) -> tuple[int, ...]:
     return tuple(a for a in all_masks(n) if a.bit_count() >= 2 and pmt[a] & ~edges == 0)
 
 
-def _suffix_unions(cliques: tuple[int, ...], pair_mask: Mapping[int, int]) -> list[int]:
-    """Entry i: the union of the pair masks of ``cliques[i:]``."""
-    return list(itertools.accumulate(reversed(cliques), lambda u, a: u | pair_mask[a], initial=0))[::-1]
+def _suffix_unions(cliques: list[int] | tuple[int, ...], masks: Mapping[int, int]) -> list[int]:
+    """Entry i: the union of the ``masks`` of ``cliques[i:]``."""
+    return list(itertools.accumulate(reversed(cliques), lambda u, a: u | masks[a], initial=0))[::-1]
 
 
 def _cover_weight(
     cliques: tuple[int, ...],
     presence: Mapping[int, float],
-    pair_mask: Mapping[int, int],
+    masks: Mapping[int, int],
     target: int,
 ) -> float:
-    """Sum over subsets S of ``cliques`` with edge union exactly ``target`` of
-    prod_{a in S} p(a) * prod_{a not in S} (1 - p(a)).
+    """Sum over subsets S of ``cliques`` whose ``masks`` clear every bit of
+    ``target`` of prod_{a in S} p(a) * prod_{a not in S} (1 - p(a)).
 
-    Once every target edge is covered the remaining cliques integrate out to a
-    factor 1, so the walk is memoized on (position, still-uncovered edges).
+    One forward pass over the cliques by (-highest vertex, -size, mask): a
+    layer maps the bits still to clear to their weight.  A clique that holds
+    none of a state's bits passes it on at weight * 1, so a cleared state
+    carries on to the end; a state the cliques ahead cannot clear is dropped.
     """
-    suffix = _suffix_unions(cliques, pair_mask)
-    memo: dict[tuple[int, int], float] = {}
-
-    def walk(i: int, needed: int) -> float:
-        if needed == 0:
-            return 1.0
-        if needed & ~suffix[i]:
-            return 0.0
-        key = (i, needed)
-        got = memo.get(key)
-        if got is None:
-            a = cliques[i]
-            q = presence[a]
-            got = (1.0 - q) * walk(i + 1, needed) + q * walk(i + 1, needed & ~pair_mask[a])
-            memo[key] = got
-        return got
-
-    # walk's closure holds walk itself: without the del, the cycle keeps memo
-    # alive until the cyclic garbage collector runs
-    try:
-        return walk(0, target)
-    finally:
-        del walk
+    order = sorted(cliques, key=lambda a: (-a.bit_length(), -a.bit_count(), a))
+    suffix = _suffix_unions(order, masks)
+    layer = {target: 1.0}
+    for a, ahead in zip(order, suffix[1:]):
+        q, clear = presence[a], masks[a]
+        step: dict[int, float] = {}
+        for needed, weight in layer.items():
+            if not needed & clear:
+                step[needed] = step.get(needed, 0.0) + weight
+                continue
+            if not needed & ~ahead:
+                step[needed] = step.get(needed, 0.0) + (1.0 - q) * weight
+            if not needed & ~clear & ~ahead:
+                step[needed & ~clear] = step.get(needed & ~clear, 0.0) + q * weight
+        layer = step
+    return layer.get(0, 0.0)
 
 
 def _walk_setup(graph: Graph, walk: str) -> tuple[tuple[int, ...], tuple[int, ...], int]:
@@ -189,10 +186,12 @@ def enumerate_monotone_covers(graph: Graph) -> CoverEnumeration:
             walk(i + 1, covered | pmt[c])
             chosen.pop()
 
+    # walk's closure holds walk itself: without the del, the cycle keeps
+    # ``covers`` alive until the cyclic garbage collector runs
     try:
         walk(0, 0)
     finally:
-        del walk  # the same reference cycle as in _cover_weight
+        del walk
     covers.sort(key=lambda gc: gc.sorted_masks())
     return CoverEnumeration(graph, tuple(covers))
 
@@ -432,8 +431,9 @@ def graph_law(n: int, schedule: RateSchedule, *, cap: int | None = None) -> np.n
 def graph_prob(graph: Graph, schedule: RateSchedule, *, cap: int | None = None) -> float:
     """P(projected graph = graph), exactly, from sums of non-negative terms.
 
-    Up to CLIQUE_SUBSET_CAP cliques, the clique walk prices the absent
-    subsets by one non-negative exponent, times the cliques' cover weight.
+    Up to CLIQUE_SUBSET_CAP cliques, one non-negative exponent prices the
+    absent subsets, times the cliques' cover weight from one forward pass
+    (``_cover_weight``).
     Otherwise splits off the vertex whose neighbourhood spans the fewest
     edges (see ``_cell``): that needs the whole laws at level n - 1, built
     by the vertex step (``_positive_law``), or, when the neighbourhood spans
@@ -448,9 +448,10 @@ def graph_prob(graph: Graph, schedule: RateSchedule, *, cap: int | None = None) 
 
 
 def _prob(n: int, rates: list[float], edges: int, cap: int | None = None) -> float:
-    """P(graph = ``edges``) on [n] under the size rates ``rates``: the clique
-    walk, the absent subsets priced by one non-negative exponent, up to
-    CLIQUE_SUBSET_CAP cliques, else ``_cell`` (level cap)."""
+    """P(graph = ``edges``) on [n] under the size rates ``rates``: up to
+    CLIQUE_SUBSET_CAP cliques, the absent subsets priced by one non-negative
+    exponent times the cover weight (``_cover_weight``), else ``_cell``
+    (level cap)."""
     cliques = _cliques(n, edges)
     if len(cliques) > CLIQUE_SUBSET_CAP:
         _law_cap(n, cap)
@@ -654,21 +655,24 @@ def transitivity_conditional(schedule: RateSchedule) -> float:
 # Conditional cluster queries
 # ---------------------------------------------------------------------------
 
-def _conditional_setup(subset: int, graph: Graph, schedule: RateSchedule):
+def _conditional(subset: int, graph: Graph, schedule: RateSchedule, chosen: Callable[[int], bool]) -> float:
+    """P(some clique a with ``chosen(a)`` present | projected graph): one flag
+    bit above the edge bits, held by the chosen cliques, is cleared only when
+    one of them is present, so the answer is the cover weight of the edges and
+    the flag over that of the edges, each a sum of non-negative terms."""
     if subset.bit_count() < 2:
         raise ValueError("cluster queries need at least two vertices")
     if subset & ~full_mask(graph.n):
         raise ValueError(f"subset {elements_of(subset)} exceeds vertex set [{graph.n}]")
     cliques, pmt, edges = _walk_setup(graph, "conditional")
     rates = _size_rates(schedule, graph.n)
-    return cliques, {a: _presence(rates[a.bit_count()]) for a in cliques}, pmt, edges
-
-
-def _given_graph(weight: float, graph_weight: float) -> float:
-    """``weight`` over the graph's cover weight ``graph_weight``; ValueError when that is zero."""
-    if graph_weight == 0.0:
+    presence = {a: _presence(rates[a.bit_count()]) for a in cliques}
+    whole = _cover_weight(cliques, presence, pmt, edges)
+    if whole == 0.0:
         raise ValueError("graph has probability zero under this schedule")
-    return weight / graph_weight
+    flag = 1 << graph.n * (graph.n - 1) // 2
+    flagged = {a: pmt[a] | flag if chosen(a) else pmt[a] for a in cliques}
+    return _cover_weight(cliques, presence, flagged, edges | flag) / whole
 
 
 def cluster_prob(subset: int, graph: Graph, schedule: RateSchedule) -> float:
@@ -682,30 +686,16 @@ def cluster_prob(subset: int, graph: Graph, schedule: RateSchedule) -> float:
             raise ValueError(
                 f"{elements_of(subset)} is not a clique of the graph, so it cannot be a cluster"
             )
-    cliques, presence, pmt, target = _conditional_setup(subset, graph, schedule)
-    rest = tuple(a for a in cliques if a != subset)
-    numerator = presence[subset] * _cover_weight(rest, presence, pmt, target & ~pmt[subset])
-    return _given_graph(numerator, _cover_weight(cliques, presence, pmt, target))
+    return _conditional(subset, graph, schedule, lambda a: a == subset)
 
 
 def coarse_cluster_prob(subset: int, graph: Graph, schedule: RateSchedule) -> float:
     """P(some latent point covers ``subset`` | projected graph).
 
     The covering point must itself be a clique of the observed graph, so the
-    answer is 0 whenever no clique contains ``subset``.  The weight of "some"
-    is summed over the first superset clique present, so no term cancels and
-    a small answer keeps its relative accuracy.
+    answer is 0 whenever no clique contains ``subset``.
     """
-    cliques, presence, pmt, target = _conditional_setup(subset, graph, schedule)
-    supersets = tuple(a for a in cliques if mask_leq(subset, a))
-    rest = tuple(a for a in cliques if not mask_leq(subset, a))
-    some, none_present = 0.0, 1.0
-    for i, a in enumerate(supersets):
-        needed = target & ~pmt[a]
-        some += none_present * presence[a] * _cover_weight(rest + supersets[i + 1 :], presence, pmt, needed)
-        none_present *= 1.0 - presence[a]
-    none = none_present * _cover_weight(rest, presence, pmt, target)
-    return _given_graph(some, some + none)
+    return _conditional(subset, graph, schedule, lambda a: mask_leq(subset, a))
 
 
 def classify_extension(

@@ -9,10 +9,11 @@ walks all 2^C(n,2) edge masks once per edge bit, so n <= 7.  The keyed-stream
 draws rebuild each subset's Philox stream from its own uint64 key, one subset
 at a time, without the sampler's loop.  The 50-digit ``decimal`` references
 (standard library only) give relative accuracy where float sums cannot: the
-clique walk costs one memoized include/exclude step per clique, so keep the
-clique count small; the 60-digit interval sum visits all 2^n masks, so keep
-n <= 16.  The extension enumeration lists all 3^k choices for k support
-members, so keep k <= 8.
+clique walk costs one memoized include/exclude step per clique and set of
+edges still uncovered, so keep the clique count small; each 60-digit cluster
+conditional runs two walks, so keep n <= 6 there; the 60-digit interval sum
+visits all 2^n masks, so keep n <= 16.  The extension enumeration lists all
+3^k choices for k support members, so keep k <= 8.
 """
 
 import decimal
@@ -129,35 +130,76 @@ def decimal_interval_prob(members, n: int, schedule) -> decimal.Decimal:
         return (-outside).exp()
 
 
-def decimal_graph_prob(edges, n: int, schedule) -> decimal.Decimal:
-    """P(projected graph on [n] has exactly ``edges``) to DECIMAL_DIGITS digits.
+def _decimal_cliques(edges: frozenset, n: int, schedule) -> tuple[list, decimal.Decimal]:
+    """Every vertex set of two or more labels with all its pairs in ``edges`` as
+    (labels, pairs, (hit, miss)), and the total rate of the other sets, to the
+    current context's precision."""
+    cliques, outside = [], decimal.Decimal(0)
+    for size in range(2, n + 1):
+        for labels in itertools.combinations(range(1, n + 1), size):
+            pairs = frozenset(itertools.combinations(labels, 2))
+            if pairs <= edges:
+                cliques.append((labels, pairs, _decimal_factors(schedule.rate(n, size))))
+            else:
+                outside += decimal.Decimal(schedule.rate(n, size))
+    return cliques, outside
 
-    Every vertex set of two or more labels with a pair outside ``edges`` must be
-    absent.  The others, the cliques, are walked in turn, present or absent, until
-    their pairs cover ``edges``; the cliques left over then integrate out to 1.
-    """
+
+def _decimal_walk(cliques: list, edges: frozenset) -> decimal.Decimal:
+    """The weight of the ``cliques`` covering ``edges``: each clique is walked in
+    turn, present or absent, until their pairs cover ``edges``; the cliques left
+    over then integrate out to 1."""
+
+    @functools.lru_cache(maxsize=None)
+    def walk(i: int, uncovered: frozenset) -> decimal.Decimal:
+        if not uncovered:
+            return decimal.Decimal(1)
+        if i == len(cliques):
+            return decimal.Decimal(0)
+        _, pairs, (hit, miss) = cliques[i]
+        return miss * walk(i + 1, uncovered) + hit * walk(i + 1, uncovered - pairs)
+
+    return walk(0, edges)
+
+
+def decimal_graph_prob(edges, n: int, schedule) -> decimal.Decimal:
+    """P(projected graph on [n] has exactly ``edges``) to DECIMAL_DIGITS digits:
+    every vertex set of two or more labels with a pair outside ``edges`` is
+    absent, times the cliques' walk."""
     edges = frozenset(edges)
     with decimal.localcontext() as ctx:
         ctx.prec = DECIMAL_DIGITS
-        cliques, outside = [], decimal.Decimal(0)
-        for size in range(2, n + 1):
-            for labels in itertools.combinations(range(1, n + 1), size):
-                pairs = frozenset(itertools.combinations(labels, 2))
-                if pairs <= edges:
-                    cliques.append((pairs, _decimal_factors(schedule.rate(n, size))))
-                else:
-                    outside += decimal.Decimal(schedule.rate(n, size))
+        cliques, outside = _decimal_cliques(edges, n, schedule)
+        return (-outside).exp() * _decimal_walk(cliques, edges)
 
-        @functools.lru_cache(maxsize=None)
-        def walk(i: int, uncovered: frozenset) -> decimal.Decimal:
-            if not uncovered:
-                return decimal.Decimal(1)
-            if i == len(cliques):
-                return decimal.Decimal(0)
-            pairs, (hit, miss) = cliques[i]
-            return miss * walk(i + 1, uncovered) + hit * walk(i + 1, uncovered - pairs)
 
-        return (-outside).exp() * walk(0, edges)
+def decimal_cluster_prob(labels, edges, n: int, schedule) -> decimal.Decimal:
+    """P(the clique ``labels`` is present | graph on [n] with ``edges``) to 60
+    digits: its hit times the other cliques' walk over the edges it leaves,
+    over the walk of every clique.  The absent sets cancel."""
+    edges, labels = frozenset(edges), tuple(sorted(labels))
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        cliques, _ = _decimal_cliques(edges, n, schedule)
+        ((_, pairs, (hit, _)),) = [c for c in cliques if c[0] == labels]
+        rest = [c for c in cliques if c[0] != labels]
+        return hit * _decimal_walk(rest, edges - pairs) / _decimal_walk(cliques, edges)
+
+
+def decimal_coarse_cluster_prob(labels, edges, n: int, schedule) -> decimal.Decimal:
+    """P(some clique containing ``labels`` is present | graph on [n] with
+    ``edges``) to 60 digits: the walk less the weight with every such clique
+    absent, over the walk."""
+    edges, labels = frozenset(edges), set(labels)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        cliques, _ = _decimal_cliques(edges, n, schedule)
+        supersets = [c for c in cliques if labels <= set(c[0])]
+        none = _decimal_walk([c for c in cliques if c not in supersets], edges)
+        for _, _, (_, miss) in supersets:
+            none *= miss
+        whole = _decimal_walk(cliques, edges)
+        return (whole - none) / whole
 
 
 def event_prob(n: int, schedule, predicate) -> float:

@@ -4,10 +4,12 @@ import gc
 import itertools
 import math
 import random
+import re
 import sys
 import threading
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,8 +41,10 @@ from poissonclique.lattice import (
     SubsetFamily,
     clique_graph,
     edge_mask_to_graph,
+    elements_of,
     graph_to_edge_mask,
     iter_submasks,
+    mask_leq,
     mask_of,
     monotone_cover,
     permute_family,
@@ -59,6 +63,8 @@ from oracles import (
     _decimal_factors,
     butterfly_law,
     covered_pairs,
+    decimal_cluster_prob,
+    decimal_coarse_cluster_prob,
     decimal_graph_prob,
     decimal_interval_prob,
     decimal_point_mass,
@@ -267,8 +273,8 @@ def test_cover_enumeration_cap():
 
 def test_clique_walks_retain_no_memory():
     # a recursive walk that closes over itself is a reference cycle, and with
-    # the cyclic collector off it would keep each call's memo (about 120 KB per
-    # graph_prob call on this 23-clique graph) alive
+    # the cyclic collector off it would keep each call's state alive; the
+    # cover listing walks that way, the forward passes must hold no cycle
     graph = Graph.from_edges(
         7,
         [(1, 2), (1, 6), (2, 4), (2, 7), (3, 4), (3, 5), (3, 6)]
@@ -383,6 +389,16 @@ def test_transitivity_matches_family_oracle():
         assert math.isclose(transitivity_conditional(schedule), num / den, abs_tol=1e-12)
 
 
+def test_readme_quick_start_values():
+    # the values the README's library Quick start prints in its comments
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    triangle = re.search(r"^graph_prob\(triangle, schedule\) +# (\S+)$", readme, re.M)
+    transitivity = re.search(r"^transitivity_conditional\(schedule\) +# .* = (\S+)$", readme, re.M)
+    schedule = GeometricSchedule(alpha=0.5, c=1.0)
+    assert repr(graph_prob(TRIANGLE, schedule)) == triangle.group(1)
+    assert repr(transitivity_conditional(schedule)) == transitivity.group(1)
+
+
 # ---------------------------------------------------------------------------
 # Cluster queries
 # ---------------------------------------------------------------------------
@@ -483,25 +499,51 @@ def test_coarse_cluster_prob_zero_probability_graph():
         coarse_cluster_prob(mask_of([1, 2], 3), edge, only_triples)
 
 
-def test_coarse_cluster_prob_skips_the_full_cover_walk(monkeypatch):
-    # some + none is the graph's weight, so the walk over every clique with
-    # the full target is not run when a clique contains the subset
-    walks = []
-    cover_weight = inference._cover_weight
+def seeded_walk_graphs(rng, n, count):
+    # random graphs on [n] of random density, each with at most CLIQUE_SUBSET_CAP cliques
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    found = []
+    while len(found) < count:
+        density = rng.random()
+        graph = Graph.from_edges(n, [p for p in pairs if rng.random() < density])
+        if len(clique_set(graph)) <= CLIQUE_SUBSET_CAP:
+            found.append(graph)
+    return found
 
-    def recording(cliques, presence, pair_mask, target):
-        walks.append((cliques, target))
-        return cover_weight(cliques, presence, pair_mask, target)
 
-    monkeypatch.setattr(inference, "_cover_weight", recording)
-    schedule = GeometricSchedule(alpha=0.5)
-    triangle_and_path = Graph.from_edges(5, [(1, 2), (1, 3), (2, 3), (3, 4), (4, 5)])
-    for graph in [TRIANGLE, complete_graph(4), triangle_and_path]:
-        full = (clique_set(graph), graph_to_edge_mask(graph))
-        for clique in clique_set(graph):
-            walks.clear()
-            coarse_cluster_prob(clique, graph, schedule)
-            assert walks and full not in walks
+def test_coarse_equals_cluster_on_maximal_cliques_and_dominates_elsewhere():
+    # a maximal clique is its own only superset clique, so both queries flag
+    # the same clique and run the same passes
+    rng = random.Random(28)
+    for n in range(2, 8):
+        for graph in seeded_walk_graphs(rng, n, 4):
+            cliques = clique_set(graph)
+            for schedule in EXACT_LAW_SCHEDULES:
+                for clique in cliques:
+                    point = cluster_prob(clique, graph, schedule)
+                    coarse = coarse_cluster_prob(clique, graph, schedule)
+                    if not any(a != clique and mask_leq(clique, a) for a in cliques):
+                        assert point.hex() == coarse.hex()
+                    assert point <= coarse
+
+
+def test_conditionals_relative_to_60_digit_twins():
+    # the twins price the subset's presence, and the absence of every superset,
+    # by walks over the other cliques, with no flag bit
+    rng = random.Random(29)
+    for n in range(2, 7):
+        for graph in seeded_walk_graphs(rng, n, 3):
+            for schedule in EXACT_LAW_SCHEDULES:
+                if graph_prob(graph, schedule) < sys.float_info.min:
+                    continue  # the float cover weight may underflow, and the queries raise
+                for clique in clique_set(graph):
+                    labels = elements_of(clique)
+                    for query, twin in (
+                        (cluster_prob, decimal_cluster_prob),
+                        (coarse_cluster_prob, decimal_coarse_cluster_prob),
+                    ):
+                        exact = twin(labels, graph.edges, n, schedule)
+                        assert relative_error(query(clique, graph, schedule), exact) <= decimal.Decimal("1e-13")
 
 
 @pytest.mark.parametrize("alpha, c", [(1e-3, 1e6), (1e-6, 1e12), (1e-8, 1e16)])
@@ -1339,6 +1381,13 @@ def test_clique_rich_cells_equal_clique_walk_under_a_raised_cap(schedule, monkey
                 walk = graph_prob(graph, schedule)
             assert prob >= 0.0
             assert math.isclose(prob, walk, rel_tol=1e-13)
+    # K5 (26 cliques) and K6 (57), the widest layers the pass meets below K7
+    for graph in (complete_graph(5), complete_graph(6)):
+        prob = graph_prob(graph, schedule)
+        with monkeypatch.context() as patch:
+            patch.setattr(inference, "CLIQUE_SUBSET_CAP", 57)
+            walk = graph_prob(graph, schedule)
+        assert math.isclose(prob, walk, rel_tol=1e-13)
 
 
 @pytest.mark.parametrize("schedule", EXACT_LAW_SCHEDULES, ids=repr)
