@@ -40,7 +40,6 @@ import itertools
 import math
 import operator
 import os
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping
 
 from .lattice import (
@@ -48,6 +47,7 @@ from .lattice import (
     Graph,
     ResourceCapError,
     SubsetFamily,
+    _Value,
     all_masks,
     clique_graph,
     edge_bit_pairs,
@@ -75,12 +75,15 @@ class InconsistentEvidenceError(ValueError):
     """The conditioning evidence has probability zero: no state matches it."""
 
 
-@dataclass(frozen=True)
-class CoverEnumeration:
+class CoverEnumeration(_Value):
     """Every antichain of cliques whose union of pairwise edges is exactly E(G)."""
 
     graph: Graph
     covers: tuple[GeneratingClass, ...]
+    _fields = ("graph", "covers")
+
+    def __init__(self, graph: Graph, covers: tuple[GeneratingClass, ...]) -> None:
+        super().__init__(graph, covers)
 
     def __len__(self) -> int:
         return len(self.covers)

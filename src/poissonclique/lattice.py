@@ -20,9 +20,8 @@ shared freely across threads.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NoReturn
 
 POWERSET_CAP = 16
 FAMILY_SPACE_CAP = 4
@@ -83,20 +82,54 @@ def all_masks(n: int) -> range:
     return range(1 << n)
 
 
-@dataclass(frozen=True)
-class SubsetFamily:
+class _Value:
+    """Base of the immutable value types.  ``__init__`` stores the values of
+    ``_fields`` in order; an instance equals only an instance of its own class
+    with equal fields, hashes and prints by its fields, and refuses assignment
+    and deletion."""
+
+    _fields: tuple[str, ...] = ()
+
+    def __init__(self, *values: object) -> None:
+        self.__dict__.update(zip(self._fields, values))
+
+    def _astuple(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._astuple() == other._astuple()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._astuple())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._astuple()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> NoReturn:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> NoReturn:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class SubsetFamily(_Value):
     """A duplicate-free collection of subsets of {1, ..., n}."""
 
     n: int
     members: frozenset[int]
+    _fields = ("n", "members")
 
-    def __post_init__(self) -> None:
-        if self.n < 0:
+    def __init__(self, n: int, members: Iterable[int]) -> None:
+        super().__init__(n, frozenset(members))
+        if n < 0:
             raise ValueError("ground-set size must be non-negative")
-        top = full_mask(self.n)
+        top = full_mask(n)
         for a in self.members:
             if a & ~top:
-                raise ValueError(f"member {elements_of(a)} exceeds ground set [{self.n}]")
+                raise ValueError(f"member {elements_of(a)} exceeds ground set [{n}]")
 
     @classmethod
     def from_sets(cls, n: int, sets: Iterable[Iterable[int]]) -> "SubsetFamily":
@@ -115,7 +148,6 @@ class SubsetFamily:
         return len(self.members)
 
 
-@dataclass(frozen=True)
 class GeneratingClass(SubsetFamily):
     """An antichain ``SubsetFamily``: the maximal elements determining a monotone set.
 
@@ -124,8 +156,8 @@ class GeneratingClass(SubsetFamily):
     sees the maximal members only; the monotone order is ``leq_generating_class``.
     """
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
+    def __init__(self, n: int, members: Iterable[int]) -> None:
+        super().__init__(n, members)
         for a, b in itertools.combinations(self.members, 2):
             if mask_leq(a, b) or mask_leq(b, a):
                 raise ValueError(
@@ -137,19 +169,20 @@ class GeneratingClass(SubsetFamily):
         return self.members
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(_Value):
     """Undirected graph on vertices {1, ..., n}; edges stored as (i, j) with i < j."""
 
     n: int
     edges: frozenset[tuple[int, int]]
+    _fields = ("n", "edges")
 
-    def __post_init__(self) -> None:
-        if self.n < 0:
+    def __init__(self, n: int, edges: Iterable[tuple[int, int]]) -> None:
+        super().__init__(n, frozenset(edges))
+        if n < 0:
             raise ValueError("vertex count must be non-negative")
         for i, j in self.edges:
-            if not (1 <= i < j <= self.n):
-                raise ValueError(f"edge ({i}, {j}) invalid on vertex set [{self.n}]")
+            if not (1 <= i < j <= n):
+                raise ValueError(f"edge ({i}, {j}) invalid on vertex set [{n}]")
 
     @classmethod
     def from_edges(cls, n: int, pairs: Iterable[tuple[int, int]]) -> "Graph":
@@ -167,13 +200,14 @@ class Graph:
         return len(self.edges)
 
 
-@dataclass(frozen=True)
-class Permutation:
+class Permutation(_Value):
     """A bijection of {1, ..., n}; ``images[i-1]`` is the image of ``i``."""
 
     images: tuple[int, ...]
+    _fields = ("images",)
 
-    def __post_init__(self) -> None:
+    def __init__(self, images: Iterable[int]) -> None:
+        super().__init__(tuple(images))
         n = len(self.images)
         if sorted(self.images) != list(range(1, n + 1)):
             raise ValueError(f"images {self.images} are not a bijection of [{n}]")

@@ -22,13 +22,13 @@ rates stay within the CDF walk's range.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator, Mapping
 
 from .lattice import (
     GeneratingClass,
     Graph,
     SubsetFamily,
+    _Value,
     all_masks,
     clique_graph,
     full_mask,
@@ -49,8 +49,7 @@ SEED_LIMIT = 1 << 64
 _INVERSION_MAX_RATE = 700.0
 
 
-@dataclass(frozen=True)
-class PointProcessRealization:
+class PointProcessRealization(_Value):
     """Poisson multiplicities on the power set of [n]; zero counts are omitted.
 
     ``method`` records how the draw was produced: "inversion" carries true
@@ -61,35 +60,41 @@ class PointProcessRealization:
     counts: Mapping[int, int]
     seed: int
     method: str
+    _fields = ("n", "counts", "seed", "method")
 
-    def __post_init__(self) -> None:
-        check_seed(self.seed)
-        check_method(self.method)
-        top = full_mask(self.n)
+    def __init__(self, n: int, counts: Mapping[int, int], seed: int, method: str) -> None:
+        check_seed(seed)
+        check_method(method)
+        top = full_mask(n)
         clean = {}
-        for mask, count in sorted(dict(self.counts).items()):
+        for mask, count in sorted(dict(counts).items()):
             if mask & ~top:
-                raise ValueError(f"mask {mask:#x} exceeds ground set [{self.n}]")
+                raise ValueError(f"mask {mask:#x} exceeds ground set [{n}]")
             if count < 0:
                 raise ValueError("counts must be non-negative")
-            if self.method == METHOD_BERNOULLI and count != 1:
+            if method == METHOD_BERNOULLI and count != 1:
                 raise ValueError(f"a bernoulli realization carries presence only, got count {count}")
             if count > 0:
                 clean[mask] = int(count)
-        object.__setattr__(self, "counts", clean)
+        super().__init__(n, clean, seed, method)
 
     def support_masks(self) -> tuple[int, ...]:
         return tuple(sorted(self.counts))
 
 
-@dataclass(frozen=True)
-class PipelineSample:
+class PipelineSample(_Value):
     """One draw pushed through support, least monotone cover, clique graph."""
 
     realization: PointProcessRealization
     support: SubsetFamily
     cover: GeneratingClass
     graph: Graph
+    _fields = ("realization", "support", "cover", "graph")
+
+    def __init__(
+        self, realization: PointProcessRealization, support: SubsetFamily, cover: GeneratingClass, graph: Graph
+    ) -> None:
+        super().__init__(realization, support, cover, graph)
 
     @property
     def n(self) -> int:

@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
-from typing import ClassVar, Mapping, Sequence
+from typing import ClassVar, Iterable, Mapping, Sequence
+
+from .lattice import _Value
 
 DEFAULT_CONSISTENCY_TOL = 1e-12
 
@@ -41,19 +42,20 @@ class RateSchedule(ABC):
     def to_dict(self) -> dict: ...
 
 
-@dataclass(frozen=True)
-class GeometricSchedule(RateSchedule):
+class GeometricSchedule(_Value, RateSchedule):
     """lambda_n(r) = c * alpha^r * (1 - alpha)^(n - r); consistent for any 0 < alpha < 1."""
 
     alpha: float
-    c: float = 1.0
+    c: float
     kind: ClassVar[str] = "geometric"
+    _fields = ("alpha", "c")
 
-    def __post_init__(self) -> None:
-        if not 0 < self.alpha < 1:
-            raise ValueError(f"alpha must lie strictly inside (0, 1), got {self.alpha}")
-        if not (math.isfinite(self.c) and self.c > 0):
-            raise ValueError(f"c must be finite and positive, got {self.c}")
+    def __init__(self, alpha: float, c: float = 1.0) -> None:
+        super().__init__(alpha, c)
+        if not 0 < alpha < 1:
+            raise ValueError(f"alpha must lie strictly inside (0, 1), got {alpha}")
+        if not (math.isfinite(c) and c > 0):
+            raise ValueError(f"c must be finite and positive, got {c}")
 
     def _rate(self, n: int, r: int) -> float:
         return self.c * self.alpha**r * (1.0 - self.alpha) ** (n - r)
@@ -62,8 +64,7 @@ class GeometricSchedule(RateSchedule):
         return {"kind": self.kind, "alpha": self.alpha, "c": self.c}
 
 
-@dataclass(frozen=True)
-class BetaUniformSchedule(RateSchedule):
+class BetaUniformSchedule(_Value, RateSchedule):
     """lambda_n(r) = c / ((n + 1) * C(n, r)): moments of c times the uniform measure.
 
     The (n + 1) factor is forced: without it the binomial-inverse family fails
@@ -73,12 +74,14 @@ class BetaUniformSchedule(RateSchedule):
     every level, past the float range of the binomial too (subnormal or zero there).
     """
 
-    c: float = 1.0
+    c: float
     kind: ClassVar[str] = "beta_uniform"
+    _fields = ("c",)
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.c) and self.c > 0):
-            raise ValueError(f"c must be finite and positive, got {self.c}")
+    def __init__(self, c: float = 1.0) -> None:
+        super().__init__(c)
+        if not (math.isfinite(c) and c > 0):
+            raise ValueError(f"c must be finite and positive, got {c}")
 
     def _rate(self, n: int, r: int) -> float:
         num, den = self.c.as_integer_ratio()
@@ -88,8 +91,7 @@ class BetaUniformSchedule(RateSchedule):
         return {"kind": self.kind, "c": self.c}
 
 
-@dataclass(frozen=True)
-class MomentAtomsSchedule(RateSchedule):
+class MomentAtomsSchedule(_Value, RateSchedule):
     """lambda_n(r) = sum_k w_k * x_k^r * (1 - x_k)^(n - r) for atoms (x_k, w_k).
 
     Boundary atoms use the 0^0 = 1 convention, so x = 1 puts weight only on
@@ -98,9 +100,10 @@ class MomentAtomsSchedule(RateSchedule):
 
     atoms: tuple[tuple[float, float], ...]
     kind: ClassVar[str] = "moment_atoms"
+    _fields = ("atoms",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "atoms", tuple((float(x), float(w)) for x, w in self.atoms))
+    def __init__(self, atoms: Iterable[tuple[float, float]]) -> None:
+        super().__init__(tuple((float(x), float(w)) for x, w in atoms))
         for x, w in self.atoms:
             if not 0.0 <= x <= 1.0:
                 raise ValueError(f"atom location {x} outside [0, 1]")
@@ -118,8 +121,7 @@ class MomentAtomsSchedule(RateSchedule):
         return {"kind": self.kind, "atoms": [[x, w] for x, w in self.atoms]}
 
 
-@dataclass(frozen=True, eq=False)
-class TableSchedule(RateSchedule):
+class TableSchedule(_Value, RateSchedule):
     """Explicit per-level rows; row n holds (lambda_n(0), ..., lambda_n(n)).
 
     Rows may be sparse (a single working level is enough for fixed-n queries);
@@ -128,10 +130,11 @@ class TableSchedule(RateSchedule):
 
     rows: Mapping[int, tuple[float, ...]]
     kind: ClassVar[str] = "table"
+    _fields = ("rows",)
 
-    def __post_init__(self) -> None:
+    def __init__(self, rows: Mapping[int, Sequence[float]]) -> None:
         frozen = {}
-        for level, row in dict(self.rows).items():
+        for level, row in dict(rows).items():
             level = int(level)
             row = tuple(float(v) for v in row)
             if level < 0:
@@ -144,7 +147,7 @@ class TableSchedule(RateSchedule):
             frozen[level] = row
         if not frozen:
             raise ValueError("table needs at least one row")
-        object.__setattr__(self, "rows", frozen)
+        super().__init__(frozen)
 
     def __hash__(self) -> int:
         return hash((self.kind, tuple(sorted(self.rows.items()))))
@@ -177,14 +180,19 @@ def constant_table(n: int, value: float) -> TableSchedule:
     return TableSchedule({m: (value,) * (m + 1) for m in range(n + 1)})
 
 
-@dataclass(frozen=True)
-class ConsistencyReport:
+class ConsistencyReport(_Value):
     """Outcome of checking the cross-level recurrence up to a top level."""
 
     n_max: int
     tol: float
     max_violation: float
     witnesses: tuple[tuple[int, int, float, float], ...]
+    _fields = ("n_max", "tol", "max_violation", "witnesses")
+
+    def __init__(
+        self, n_max: int, tol: float, max_violation: float, witnesses: tuple[tuple[int, int, float, float], ...]
+    ) -> None:
+        super().__init__(n_max, tol, max_violation, witnesses)
 
     @property
     def ok(self) -> bool:

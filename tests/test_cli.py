@@ -539,8 +539,11 @@ def run(argv):
 for argv in json.loads(sys.argv[1]):
     run(argv)
 assert "numpy" not in sys.modules, "a command without arrays imported numpy"
+loaded = {"dataclasses", "inspect"} & set(sys.modules)
+assert not loaded, f"a command without arrays imported {sorted(loaded)}"
 run(["sample", "--schedule", %r, "--n", "7", "--seed", "1"])
 assert "numpy" in sys.modules, "sample drew without numpy"
+assert "dataclasses" not in sys.modules, "sample --n 7 imported dataclasses"
 """ % GEOM_HALF
 
 

@@ -146,7 +146,7 @@ def test_generating_class_is_a_family_of_its_maximal_members():
     assert cover.maximal == cover.members
     assert cover.member_sets() == family.member_sets() == ((1, 2), (3,))
     assert 0b011 in cover and len(cover) == 2
-    # the dataclass equality compares classes, so the two stay distinct keys
+    # equality compares classes, so the two stay distinct keys
     assert cover != family and family != cover
     assert len({cover: 0, family: 1}) == 2
 
