@@ -18,7 +18,10 @@ complements.  Two computation paths are used:
 * whole-level: the cumulative law P(graph <= e) = exp(T(e) - T(full)) with T(e)
   the total rate of cliques fitting inside e, computed by a subset-sum (zeta)
   transform over the edge lattice and inverted by a Moebius pass, for all
-  2^C(n,2) graphs at once in one array (``_law`` describes the kernel).
+  2^C(n,2) graphs at once (``_level_law``).  Up to level 5 (1,024 cells) the
+  passes run on a list of Python floats with libm's exp, about 0.5 ms at
+  n = 5; from level 6 on the NumPy kernel runs them in one array (``_law``
+  describes it).
 
 Subsets of cardinality <= 1 never affect the graph; they are marginalized out of
 every graph computation and cancel from every conditional ratio.
@@ -29,7 +32,8 @@ total rate of subsets with at least two elements overflows has no finite
 exponent to work with, and the graph laws reject it with ValueError.
 
 NumPy is imported inside the functions that build arrays, so the per-graph
-queries and the conditionals run without loading it.
+queries, the conditionals and the restriction and exchangeability checks up to
+level 5 run without loading it.
 """
 
 from __future__ import annotations
@@ -416,19 +420,76 @@ def _law(n: int, rates: list[float]) -> np.ndarray:
         np.setbufsize(bufsize)
 
 
+# Levels up to this one (2^10 cells) build their laws on Python floats
+_LIST_MAX_N = 5
+
+
+def _level_law(n: int, rates: list[float]) -> list[float] | np.ndarray:
+    """The law of every graph on [n] under the size rates ``rates``.
+
+    Up to level ``_LIST_MAX_N`` a list, by the plain per-bit zeta/Moebius
+    butterfly on Python floats with libm's ``math.exp``, so NumPy is not
+    loaded; above it ``_law``'s array.  The adds and subtractions are the
+    kernel's, in its order, so only the exponential can move a cell's bits.
+    The zeta passes run on rows of 2^k cells that share their high bits,
+    k = nbits // 2.  Every cell is 0.0 or positive, so adding a zero row
+    changes nothing and a zero row plus a row is that row: a row holding no
+    clique stays None until a pass over a high bit copies one in, and the
+    passes over the low bits run on the 17 rows of 32 that hold one at n = 5.
+    """
+    if n > _LIST_MAX_N:
+        return _law(n, rates)
+    pmt = pair_masks(n)
+    nbits = n * (n - 1) // 2
+    k = nbits // 2
+    rows: list[list[float] | None] = [None] * (1 << nbits - k)
+    for a in all_masks(n):
+        if a.bit_count() >= 2:
+            e = pmt[a]
+            row = rows[e >> k] = rows[e >> k] or [0.0] * (1 << k)
+            # 0.0 + rate is the dense scatter's own addition (it turns -0.0 into 0.0)
+            row[e & (1 << k) - 1] = 0.0 + rates[a.bit_count()]
+    rows = [row and _list_passes(row, operator.add) for row in rows]
+    for b in range(nbits - k):
+        for r in range(len(rows)):
+            below = rows[r ^ 1 << b]
+            if r >> b & 1 and below is not None:
+                rows[r] = below if rows[r] is None else list(map(operator.add, rows[r], below))
+    zero = [0.0] * (1 << k)
+    total = (rows[-1] or zero)[-1]
+    law = [math.exp(t - total) for row in rows for t in (zero if row is None else row)]
+    return _list_passes(law, operator.sub)
+
+
+def _list_passes(law: list[float], op: Callable[[float, float], float]) -> list[float]:
+    """The per-bit butterfly ``x[e + 2^b] = op(x[e + 2^b], x[e])`` over every
+    bit b of the index, in order, on a list of 2^bits cells, one map per bit.
+    Each pass reads bit 0: it puts the even cells in the lower half and
+    op(e + 1, e) in the upper one, which turns the index bits right by one,
+    so that the next pass reads the next bit and the last puts them back."""
+    for _ in range(len(law).bit_length() - 1):
+        even = law[0::2]
+        law = even + list(map(op, law[1::2], even))
+    return law
+
+
 def graph_law(n: int, schedule: RateSchedule, *, cap: int | None = None) -> np.ndarray:
     """Exact probability of every graph on [n], indexed by edge bitmask.
 
-    Bit b of the index carries edge ``edge_bit_pairs(n)[b]``.  Computed by the
-    whole-level zeta/Moebius kernel (see ``_law``); every cell is
-    bit-identical to the plain per-bit butterfly, whatever the thread count.
-    Cost O(2^C(n,2) * C(n,2)) time, and memory for the returned array plus a
-    1 MiB tile per thread (n = 7: a 16 MiB law in about 20 ms on two CPUs,
-    30 ms on one).
+    Bit b of the index carries edge ``edge_bit_pairs(n)[b]``.  Every cell is
+    bit-identical to the plain per-bit zeta/Moebius butterfly (``_level_law``).
+    Up to level 5 it runs on Python floats with libm's exp, about 0.5 ms at
+    n = 5, and the list is returned as an array.  From n = 6 on the
+    whole-level kernel (``_law``) runs it with NumPy's exp, whatever the
+    thread count, in time O(2^C(n,2) * C(n,2)) and memory for the returned
+    array plus a 1 MiB tile per thread (n = 7: a 16 MiB law in about 20 ms on
+    two CPUs, 30 ms on one).
     Raises ValueError when the level's total rate overflows.
     """
+    import numpy as np
+
     _law_cap(n, cap)
-    return _law(n, _graph_rates(schedule, n))
+    return np.asarray(_level_law(n, _graph_rates(schedule, n)))
 
 
 def graph_prob(graph: Graph, schedule: RateSchedule, *, cap: int | None = None) -> float:
@@ -762,18 +823,24 @@ def marginal_restriction_check(
     at the pushed rate Lambda(#b) = sum_j C(n - m, j) lambda_n(#b + j), which
     ``math.fsum`` rounds correctly from its non-negative terms.  So the
     restricted law is the level-m law at the pushed rates: the check builds
-    two level-m laws and no level-n array.  The level cap and the overflow
-    check of level n still apply.
+    two level-m laws (``_level_law``) and no level-n array.  The level cap
+    and the overflow check of level n still apply.  Up to m = 5 both laws are
+    lists of Python floats and NumPy is not loaded (m = 5: about 1 ms); from
+    m = 6 on they are the kernel's arrays.
     """
-    import numpy as np
-
     if not 1 <= m < n:
         raise ValueError(f"need 1 <= m < n, got m={m}, n={n}")
-    law_m = graph_law(m, schedule, cap=cap)
+    _law_cap(m, cap)
+    law_m = _level_law(m, _graph_rates(schedule, m))
     _law_cap(n, cap)
     rates = _graph_rates(schedule, n)
     pushed = [math.fsum(math.comb(n - m, j) * rates[s + j] for j in range(n - m + 1)) for s in range(m + 1)]
-    return float(np.abs(_law(m, pushed) - law_m).max())
+    law_n = _level_law(m, pushed)
+    if m <= _LIST_MAX_N:
+        return max(map(abs, map(operator.sub, law_n, law_m)))
+    import numpy as np
+
+    return float(np.abs(law_n - law_m).max())
 
 
 def _swap_bits(n: int, j: int, m: int) -> list[int]:
@@ -797,7 +864,11 @@ def exchangeability_discrepancy(schedule: RateSchedule, n: int, *, cap: int | No
     Relabelings form a group, so this is the largest spread of the law within
     one isomorphism orbit: the max over orbits of the largest P minus the
     least.  Float subtraction is monotone, so the result is bit-identical to
-    the pairwise maximum over all n! relabelings.  The orbits come from
+    the pairwise maximum over all n! relabelings.
+
+    Up to n = 5 the law is ``_level_law``'s list of Python floats and the
+    orbits are ``_orbit_cells(n)``'s, so NumPy is not loaded (n = 5: about
+    0.5 ms, and 2 ms more for the orbits the first time).  From n = 6 on the orbits come from
     ``_orbits(n)``, kept for the last n <= 7 it was called with; each call
     then gathers the law in orbit order and takes one maximum and one minimum
     per orbit.  Cost: one gather over the 2^C(n,2) cells, and memory for the
@@ -807,13 +878,35 @@ def exchangeability_discrepancy(schedule: RateSchedule, n: int, *, cap: int | No
     needs one cube axis per edge, and NumPy 1.x allows 32, so n <= 8; at
     n = 9 the law itself (2^36 cells) cannot be allocated.
     """
+    _law_cap(n, cap)
+    if n <= _LIST_MAX_N:
+        law = _level_law(n, _graph_rates(schedule, n))
+        return max(max(x) - min(x) for x in ([law[e] for e in orbit] for orbit in _orbit_cells(n)))
     import numpy as np
 
-    _law_cap(n, cap)
     # before the law, so that the peak holds one law
     order, starts = (_orbits if n <= 7 else _orbits.__wrapped__)(n)
     x = graph_law(n, schedule, cap=cap)[order]
     return float((np.maximum.reduceat(x, starts) - np.minimum.reduceat(x, starts)).max())
+
+
+@functools.lru_cache(maxsize=None)
+def _orbit_cells(n: int) -> tuple[tuple[int, ...], ...]:
+    """The cells of the level-n law grouped by isomorphism orbit, for
+    n <= ``_LIST_MAX_N``: ``_orbits``' fold of each cell's least index along
+    the stabilizer chain, on a list, each tau_{j,m} G read from the edge bits
+    it moves (``_swap_bits``)."""
+    least = list(range(1 << n * (n - 1) // 2))
+    for m in range(2, n + 1):
+        for j in range(1, m):
+            image = [0]
+            for d in _swap_bits(n, j, m):
+                image += [e | 1 << d for e in image]
+            least = list(map(min, least, [least[e] for e in image]))
+    orbits: dict[int, list[int]] = {}
+    for e, root in enumerate(least):
+        orbits.setdefault(root, []).append(e)
+    return tuple(map(tuple, orbits.values()))
 
 
 @functools.lru_cache(maxsize=1)

@@ -115,6 +115,20 @@ class _Value:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
+class _FrozenDict(dict):
+    """A dict field of a value type: it prints, compares, pickles and copies
+    as a dict, and item assignment, deletion and every mutating method raise
+    TypeError."""
+
+    def _refuse(self, *args: object, **kwargs: object) -> NoReturn:
+        raise TypeError("a value's mapping cannot be changed")
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _refuse
+
+    def __reduce__(self) -> tuple:
+        return type(self), (dict(self),)
+
+
 class SubsetFamily(_Value):
     """A duplicate-free collection of subsets of {1, ..., n}."""
 

@@ -28,6 +28,7 @@ from .lattice import (
     GeneratingClass,
     Graph,
     SubsetFamily,
+    _FrozenDict,
     _Value,
     all_masks,
     clique_graph,
@@ -76,7 +77,7 @@ class PointProcessRealization(_Value):
                 raise ValueError(f"a bernoulli realization carries presence only, got count {count}")
             if count > 0:
                 clean[mask] = int(count)
-        super().__init__(n, clean, seed, method)
+        super().__init__(n, _FrozenDict(clean), seed, method)
 
     def support_masks(self) -> tuple[int, ...]:
         return tuple(sorted(self.counts))

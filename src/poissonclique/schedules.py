@@ -17,7 +17,7 @@ import math
 from abc import ABC, abstractmethod
 from typing import ClassVar, Iterable, Mapping, Sequence
 
-from .lattice import _Value
+from .lattice import _FrozenDict, _Value
 
 DEFAULT_CONSISTENCY_TOL = 1e-12
 
@@ -147,7 +147,7 @@ class TableSchedule(_Value, RateSchedule):
             frozen[level] = row
         if not frozen:
             raise ValueError("table needs at least one row")
-        super().__init__(frozen)
+        super().__init__(_FrozenDict(frozen))
 
     def __hash__(self) -> int:
         return hash((self.kind, tuple(sorted(self.rows.items()))))

@@ -248,7 +248,7 @@ def relabeling_discrepancy(law, n: int) -> float:
     return worst
 
 
-def butterfly_law(n: int, rates) -> np.ndarray:
+def butterfly_law(n: int, rates, exp=np.exp) -> np.ndarray:
     """The whole-level graph law by the plain per-bit zeta/Moebius butterfly.
 
     ``rates[r]`` is the Poisson rate of each r-subset of [n].  Cell e holds
@@ -256,6 +256,8 @@ def butterfly_law(n: int, rates) -> np.ndarray:
     law P(graph <= e) = exp(T(e) - T(full)), with T(e) the total rate of vertex
     subsets whose pairs all lie in e, is built by one subset-sum pass per edge
     bit, in bit order, and inverted by one difference pass per edge bit.
+    ``exp`` is a ufunc applied to the whole array, or a function of one float
+    (``math.exp``) applied cell by cell.
     """
     nbits = n * (n - 1) // 2
     transform = np.zeros(1 << nbits)
@@ -270,7 +272,8 @@ def butterfly_law(n: int, rates) -> np.ndarray:
     for b in range(nbits):
         view = transform.reshape(-1, 2, 1 << b)
         view[:, 1, :] += view[:, 0, :]
-    law = np.exp(transform - transform[-1])
+    shifted = transform - transform[-1]
+    law = exp(shifted) if isinstance(exp, np.ufunc) else np.array([exp(t) for t in shifted.tolist()])
     for b in range(nbits):
         view = law.reshape(-1, 2, 1 << b)
         view[:, 1, :] -= view[:, 0, :]

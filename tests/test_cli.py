@@ -527,6 +527,9 @@ COLD_COMMANDS = [
     # single draws up to level 6 run their Philox rounds on Python ints
     ["sample", "--schedule", GEOM_HALF, "--n", "4", "--seed", "29"],
     ["sample", "--schedule", GEOM_HALF, "--n", "6", "--seed", "29", "--method", "bernoulli"],
+    # whole-level laws up to level 5 are lists of Python floats
+    ["check-consistency", "--schedule", GEOM_HALF, "--n", "6"],
+    ["check-exchangeability", "--schedule", GEOM_HALF, "--n", "5"],
 ]
 COLD_IMPORT_SCRIPT = """
 import contextlib, io, json, sys
@@ -545,6 +548,14 @@ run(["sample", "--schedule", %r, "--n", "7", "--seed", "1"])
 assert "numpy" in sys.modules, "sample drew without numpy"
 assert "dataclasses" not in sys.modules, "sample --n 7 imported dataclasses"
 """ % GEOM_HALF
+# a level-6 law is the kernel's array
+EXCHANGEABILITY_6_SCRIPT = """
+import contextlib, io, sys
+import poissonclique.cli as cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["check-exchangeability", "--schedule", %r, "--n", "6"]) == 0
+assert "numpy" in sys.modules, "check-exchangeability --n 6 ran without numpy"
+""" % GEOM_HALF
 
 
 def test_commands_without_arrays_never_import_numpy():
@@ -556,6 +567,16 @@ def test_commands_without_arrays_never_import_numpy():
         capture_output=True,
         text=True,
         env=env,
+    )
+    assert completed.returncode == 0, completed.stderr
+
+
+def test_exchangeability_at_level_6_imports_numpy():
+    package_root = str(Path(poissonclique.__file__).resolve().parent.parent)
+    inherited = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=package_root + (os.pathsep + inherited if inherited else ""))
+    completed = subprocess.run(
+        [sys.executable, "-c", EXCHANGEABILITY_6_SCRIPT], capture_output=True, text=True, env=env
     )
     assert completed.returncode == 0, completed.stderr
 
@@ -584,6 +605,41 @@ def test_readme_draw_prints_its_golden_bytes_with_numpy_blocked():
     )
     assert completed.returncode == case["exit"] == 0, completed.stderr
     assert completed.stdout == case["stdout"]
+
+
+# every recorded case, replayed in one process, its exit code and stdout
+BLOCKED_NUMPY_GOLDEN_SCRIPT = """
+import contextlib, io, json, sys
+sys.modules["numpy"] = None
+import poissonclique.cli as cli
+for case in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(case["argv"])
+    assert code == case["exit"], (case["argv"], code)
+    assert out.getvalue() == case["stdout"], case["argv"]
+"""
+
+
+def test_golden_law_checks_up_to_level_5_print_their_bytes_with_numpy_blocked():
+    golden = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text())
+    cases = [
+        case
+        for case in golden["cases"]
+        if case["argv"][0] in ("check-consistency", "check-exchangeability")
+        and int(case["argv"][case["argv"].index("--n") + 1]) <= 5
+    ]
+    assert len(cases) == 5
+    package_root = str(Path(poissonclique.__file__).resolve().parent.parent)
+    inherited = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=package_root + (os.pathsep + inherited if inherited else ""))
+    completed = subprocess.run(
+        [sys.executable, "-c", BLOCKED_NUMPY_GOLDEN_SCRIPT, json.dumps(cases)],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert completed.returncode == 0, completed.stderr
 
 
 SERIAL_KERNEL_SCRIPT = """

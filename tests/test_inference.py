@@ -943,8 +943,10 @@ def test_exchangeability_discrepancy_on_non_exchangeable_laws(n, monkeypatch):
         law[g] = 1.0
         law[graph_to_edge_mask(permute_graph(edge_mask_to_graph(n, g), sigma))] -= 1.0
         laws.append(law)
+    # up to level 5 the check reads the level's rates and its list law
+    monkeypatch.setattr(inference, "_graph_rates", lambda schedule, n: None)
     for law in laws:
-        monkeypatch.setattr(inference, "graph_law", lambda *args, law=law, **kw: law.copy())
+        monkeypatch.setattr(inference, "_level_law", lambda n, rates, law=law: law.tolist())
         assert exchangeability_discrepancy(None, n) == relabeling_discrepancy(law, n)
 
 
@@ -992,11 +994,17 @@ def level_rates(schedule, n):
     return [schedule.rate(n, r) for r in range(n + 1)]
 
 
+def level_exp(n):
+    """The exp the law at level n takes: libm's up to level 5 (a list of
+    Python floats), NumPy's from 6 on (the kernel)."""
+    return math.exp if n <= 5 else np.exp
+
+
 # n = 0 and n = 1 are one-cell levels: no top index bit, so no top pass
 @pytest.mark.parametrize("n", range(0, 8))
 @pytest.mark.parametrize("schedule", EXACT_LAW_SCHEDULES, ids=repr)
 def test_graph_law_equals_butterfly_oracle(schedule, n):
-    assert_same_bits(graph_law(n, schedule), butterfly_law(n, level_rates(schedule, n)))
+    assert_same_bits(graph_law(n, schedule), butterfly_law(n, level_rates(schedule, n), level_exp(n)))
 
 
 def test_graph_law_equals_butterfly_oracle_random_schedules():
@@ -1006,7 +1014,7 @@ def test_graph_law_equals_butterfly_oracle_random_schedules():
         for n in range(1, 8):
             if isinstance(schedule, TableSchedule) and n not in schedule.rows:
                 continue
-            assert_same_bits(graph_law(n, schedule), butterfly_law(n, level_rates(schedule, n)))
+            assert_same_bits(graph_law(n, schedule), butterfly_law(n, level_rates(schedule, n), level_exp(n)))
 
 
 @settings(max_examples=25, deadline=None)
@@ -1018,7 +1026,30 @@ def test_graph_law_equals_butterfly_oracle_random_schedules():
 )
 def test_graph_law_equals_butterfly_oracle_property(kind, alpha, c, n):
     schedule = GeometricSchedule(alpha=alpha, c=c) if kind == "geometric" else BetaUniformSchedule(c=c)
-    assert_same_bits(graph_law(n, schedule), butterfly_law(n, level_rates(schedule, n)))
+    assert_same_bits(graph_law(n, schedule), butterfly_law(n, level_rates(schedule, n), math.exp))
+
+
+@pytest.mark.parametrize("n", range(0, 6))
+@pytest.mark.parametrize("schedule", EXACT_LAW_SCHEDULES + [MomentAtomsSchedule([(0.3, 1.0), (0.8, 2.0)])], ids=repr)
+def test_graph_law_is_the_list_law_up_to_level_5(schedule, n):
+    # the public array holds the list's floats, unchanged
+    rates = level_rates(schedule, n)
+    law = inference._level_law(n, rates)
+    assert type(law) is list
+    assert_same_bits(graph_law(n, schedule), np.array(law))
+
+
+@pytest.mark.parametrize("schedule", EXACT_LAW_SCHEDULES + [MomentAtomsSchedule([(0.3, 1.0), (0.8, 2.0)])], ids=repr)
+def test_list_law_cells_against_decimal_graph_prob(schedule):
+    # 128 seeded cells per level, every cell where the level has fewer: the
+    # signed butterfly is absolute-accurate, to a few ulps of the law's top
+    rng = random.Random(131)
+    for n in range(1, 6):
+        law = graph_law(n, schedule)
+        cells = range(law.size) if law.size <= 128 else rng.sample(range(law.size), 128)
+        for e in cells:
+            exact = decimal_graph_prob(edge_mask_to_graph(n, e).edges, n, schedule)
+            assert abs(decimal.Decimal(float(law[e])) - exact) <= decimal.Decimal("2e-14")
 
 
 # the default tile covers a whole level at n <= 6, so smaller ones put tile
@@ -1504,7 +1535,7 @@ def test_graph_prob_rejects_overflowing_level_total():
 def test_large_finite_level_total_keeps_its_bits():
     schedule = TableSchedule({3: (0.0, 0.0, 1e307, 1e307)})
     law = graph_law(3, schedule)
-    assert_same_bits(law, butterfly_law(3, level_rates(schedule, 3)))
+    assert_same_bits(law, butterfly_law(3, level_rates(schedule, 3), math.exp))
     assert not np.isnan(law).any()
     assert graph_prob(TRIANGLE, schedule) == 1.0
 

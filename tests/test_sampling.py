@@ -79,6 +79,24 @@ def test_realization_validation():
         sample_point_process(GEOM, 2, 0, method="guess")
 
 
+def test_realization_counts_cannot_change_after_their_checks():
+    realization = PointProcessRealization(3, {3: 1, 6: 1}, 7, "bernoulli")
+    counts = realization.counts
+    for mutate in (
+        lambda: counts.__setitem__(3, 7),
+        lambda: counts.__delitem__(3),
+        lambda: counts.update({5: 1}),
+        lambda: counts.setdefault(5, 1),
+        lambda: counts.pop(3),
+        lambda: counts.popitem(),
+        lambda: counts.clear(),
+    ):
+        with pytest.raises(TypeError):
+            mutate()
+    assert realization.counts == {3: 1, 6: 1}
+    assert realization == PointProcessRealization(3, {3: 1, 6: 1}, 7, "bernoulli")
+
+
 @pytest.mark.parametrize("count", [0, 2, 5])
 def test_bernoulli_realization_carries_presence_only(count):
     with pytest.raises(ValueError, match="bernoulli"):

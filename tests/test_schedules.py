@@ -131,6 +131,29 @@ def test_parameter_validation():
         TableSchedule({})
 
 
+# every way a dict changes in place
+MUTATIONS = {
+    "assign": lambda d: d.__setitem__(0, (-5.0,)),
+    "delete": lambda d: d.__delitem__(0),
+    "clear": lambda d: d.clear(),
+    "pop": lambda d: d.pop(0),
+    "popitem": lambda d: d.popitem(),
+    "setdefault": lambda d: d.setdefault(7, (1.0,) * 8),
+    "update": lambda d: d.update({0: (-5.0,)}),
+    "in-place or": lambda d: d.__ior__({0: (-5.0,)}),
+}
+
+
+@pytest.mark.parametrize("mutate", MUTATIONS.values(), ids=MUTATIONS)
+def test_table_rows_cannot_change_after_their_checks(mutate):
+    table = TableSchedule({0: (1.0,), 1: (0.5, 0.5)})
+    before = hash(table)
+    with pytest.raises(TypeError):
+        mutate(table.rows)
+    assert table.rate(0, 0) == 1.0 and table.rows == {0: (1.0,), 1: (0.5, 0.5)}
+    assert hash(table) == before and {table: 0}[TableSchedule({0: (1.0,), 1: (0.5, 0.5)})] == 0
+
+
 def test_rates_never_negative():
     rng = random.Random(99)
     for _ in range(10):
