@@ -177,28 +177,20 @@ def enumerate_monotone_covers(graph: Graph) -> CoverEnumeration:
     suffix = _suffix_unions(cliques, pmt)
 
     covers: list[GeneratingClass] = []
-    chosen: list[int] = []
-
-    def walk(i: int, covered: int) -> None:
+    # depth first: (next clique, edges covered, cliques chosen)
+    stack: list[tuple[int, int, tuple[int, ...]]] = [(0, 0, ())]
+    while stack:
+        i, covered, chosen = stack.pop()
         if covered | suffix[i] != target:
-            return
+            continue
         if i == k:
             covers.append(GeneratingClass(graph.n, frozenset(chosen)))
-            return
-        walk(i + 1, covered)
+            continue
         c = cliques[i]
         # masks ascend, so only the subset direction can break the antichain
         if all(not mask_leq(e, c) for e in chosen):
-            chosen.append(c)
-            walk(i + 1, covered | pmt[c])
-            chosen.pop()
-
-    # walk's closure holds walk itself: without the del, the cycle keeps
-    # ``covers`` alive until the cyclic garbage collector runs
-    try:
-        walk(0, 0)
-    finally:
-        del walk
+            stack.append((i + 1, covered | pmt[c], chosen + (c,)))
+        stack.append((i + 1, covered, chosen))
     covers.sort(key=lambda gc: gc.sorted_masks())
     return CoverEnumeration(graph, tuple(covers))
 
@@ -431,34 +423,17 @@ def _level_law(n: int, rates: list[float]) -> list[float] | np.ndarray:
     butterfly on Python floats with libm's ``math.exp``, so NumPy is not
     loaded; above it ``_law``'s array.  The adds and subtractions are the
     kernel's, in its order, so only the exponential can move a cell's bits.
-    The zeta passes run on rows of 2^k cells that share their high bits,
-    k = nbits // 2.  Every cell is 0.0 or positive, so adding a zero row
-    changes nothing and a zero row plus a row is that row: a row holding no
-    clique stays None until a pass over a high bit copies one in, and the
-    passes over the low bits run on the 17 rows of 32 that hold one at n = 5.
     """
     if n > _LIST_MAX_N:
         return _law(n, rates)
     pmt = pair_masks(n)
-    nbits = n * (n - 1) // 2
-    k = nbits // 2
-    rows: list[list[float] | None] = [None] * (1 << nbits - k)
+    law = [0.0] * (1 << n * (n - 1) // 2)
     for a in all_masks(n):
         if a.bit_count() >= 2:
-            e = pmt[a]
-            row = rows[e >> k] = rows[e >> k] or [0.0] * (1 << k)
-            # 0.0 + rate is the dense scatter's own addition (it turns -0.0 into 0.0)
-            row[e & (1 << k) - 1] = 0.0 + rates[a.bit_count()]
-    rows = [row and _list_passes(row, operator.add) for row in rows]
-    for b in range(nbits - k):
-        for r in range(len(rows)):
-            below = rows[r ^ 1 << b]
-            if r >> b & 1 and below is not None:
-                rows[r] = below if rows[r] is None else list(map(operator.add, rows[r], below))
-    zero = [0.0] * (1 << k)
-    total = (rows[-1] or zero)[-1]
-    law = [math.exp(t - total) for row in rows for t in (zero if row is None else row)]
-    return _list_passes(law, operator.sub)
+            law[pmt[a]] += rates[a.bit_count()]
+    law = _list_passes(law, operator.add)
+    total = law[-1]
+    return _list_passes([math.exp(t - total) for t in law], operator.sub)
 
 
 def _list_passes(law: list[float], op: Callable[[float, float], float]) -> list[float]:
@@ -504,29 +479,29 @@ def graph_prob(graph: Graph, schedule: RateSchedule, *, cap: int | None = None) 
     no edge, two cells a level down.  K7 takes about 3-5 ms with a 1.1 MiB
     ``tracemalloc`` peak; K6 plus a pendant edge at n = 7, about 0.4-0.7 ms
     and level-5 laws only; one thread either way.  The power-set cap applies
-    before any level-sized sum, the level cap of ``graph_law`` to the split.
+    before any level-sized sum.  The level cap of ``graph_law`` applies only
+    where the split builds level laws, so a vertex whose neighbourhood spans
+    no edge splits off at any level.
     Raises ValueError when the level's total rate overflows.
     """
     pair_masks(graph.n)  # the power-set cap, before the level total
     return _prob(graph.n, _graph_rates(schedule, graph.n), graph_to_edge_mask(graph), cap)
 
 
-def _prob(n: int, rates: list[float], edges: int, cap: int | None = None) -> float:
+def _prob(n: int, rates: list[float], edges: int, cap: int | None) -> float:
     """P(graph = ``edges``) on [n] under the size rates ``rates``: up to
     CLIQUE_SUBSET_CAP cliques, the absent subsets priced by one non-negative
-    exponent times the cover weight (``_cover_weight``), else ``_cell``
-    (level cap)."""
+    exponent times the cover weight (``_cover_weight``), else ``_cell``."""
     cliques = _cliques(n, edges)
     if len(cliques) > CLIQUE_SUBSET_CAP:
-        _law_cap(n, cap)
-        return _cell(n, rates, edges)
+        return _cell(n, rates, edges, cap)
     pmt = pair_masks(n)
     presence = {a: _presence(rates[a.bit_count()]) for a in cliques}
     weight = _cover_weight(cliques, presence, pmt, edges)
     return math.exp(-_absent_rate(n, rates, cliques, 2)) * weight
 
 
-def _cell(n: int, rates: list[float], edges: int) -> float:
+def _cell(n: int, rates: list[float], edges: int, cap: int | None = None) -> float:
     """P(graph = e) for the graph e = ``edges`` on [n], by splitting off one
     vertex; every term is >= 0.
 
@@ -543,7 +518,8 @@ def _cell(n: int, rates: list[float], edges: int) -> float:
     and Q(X) = sum of g(D) over D containing X (superset passes that add),
     P = sum over C' of h(C') * Q(e' - C').  When E(e[N]) is empty that is one
     term, h'(empty) * p1^|N| * s1^(n - 1 - |N|) * h(e'), and h(e') and
-    h'(empty) are cells a level down (``_prob``).
+    h'(empty) are cells a level down (``_prob``).  Only the level laws are
+    bound by the level cap ``cap``.
     """
     import numpy as np
 
@@ -561,7 +537,8 @@ def _cell(n: int, rates: list[float], edges: int) -> float:
     inner, size = pmt[star] & lower, star.bit_count()
     p1, outside = _presence(rates[2]), (n - 1 - size) * rates[2]
     if not inner:
-        return math.exp(-outside) * p1**size * _prob(n - 1, rates[1:], 0) * _prob(n - 1, rates[:n], lower)
+        return math.exp(-outside) * p1**size * _prob(n - 1, rates[1:], 0, cap) * _prob(n - 1, rates[:n], lower, cap)
+    _law_cap(n, cap)
     # every D inside E(e[N]), bit i of its position carrying the i-th edge of
     # ``inner``: its edge mask and the vertices its edges touch
     cells, touched = np.zeros(1, np.int32), np.zeros(1, np.uint8)

@@ -117,13 +117,16 @@ class _Value:
 
 class _FrozenDict(dict):
     """A dict field of a value type: it prints, compares, pickles and copies
-    as a dict, and item assignment, deletion and every mutating method raise
-    TypeError."""
+    as a dict, hashes by its items, and item assignment, deletion and every
+    mutating method raise TypeError."""
 
     def _refuse(self, *args: object, **kwargs: object) -> NoReturn:
         raise TypeError("a value's mapping cannot be changed")
 
     __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _refuse
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self.items()))
 
     def __reduce__(self) -> tuple:
         return type(self), (dict(self),)

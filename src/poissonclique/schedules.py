@@ -149,12 +149,6 @@ class TableSchedule(_Value, RateSchedule):
             raise ValueError("table needs at least one row")
         super().__init__(_FrozenDict(frozen))
 
-    def __hash__(self) -> int:
-        return hash((self.kind, tuple(sorted(self.rows.items()))))
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, TableSchedule) and dict(self.rows) == dict(other.rows)
-
     @property
     def n_max(self) -> int:
         return max(self.rows)

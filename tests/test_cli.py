@@ -420,6 +420,15 @@ def test_graph_prob_fallback_beyond_level_cap_exits_3(capsys):
     assert "cap" in err
 
 
+def test_graph_prob_splits_off_bare_vertices_past_the_level_cap(capsys):
+    # K5 plus the path 5-6-7 on [10]: the split builds level-5 laws only
+    edges = [[i, j] for j in range(2, 6) for i in range(1, j)] + [[5, 6], [6, 7]]
+    graph = json.dumps({"n": 10, "edges": edges})
+    code, doc = run_json(["graph-prob", "--graph", graph, "--schedule", GEOM_HALF], capsys)
+    assert code == 0 and doc["ok"] is True
+    assert doc["results"]["prob"] > 0.0
+
+
 @pytest.mark.parametrize("schedule", [GEOM_HALF, '{"kind":"beta_uniform","c":1}'])
 def test_graph_prob_past_the_power_set_cap_exits_3_without_stdout(schedule, capsys):
     # the cap comes before the level total, whose C(2000, r) * rate would not

@@ -265,6 +265,39 @@ def test_covers_match_antichain_sweep():
         assert len(enumerate_monotone_covers(graph)) == by_graph.get(graph, 0)
 
 
+def test_covers_match_brute_force_over_clique_subsets():
+    # independent listing on [5..7]: every vertex set whose pairs are all
+    # edges, then every subset of those that is an antichain whose pairs are
+    # exactly the edges
+    rng = random.Random(37)
+    checked = 0
+    while checked < 100:
+        n = rng.randint(5, 7)
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        density = rng.random()
+        edges = frozenset(p for p in pairs if rng.random() < density)
+        cliques = [
+            frozenset(labels)
+            for size in range(2, n + 1)
+            for labels in itertools.combinations(range(1, n + 1), size)
+            if set(itertools.combinations(labels, 2)) <= edges
+        ]
+        if len(cliques) > 12:
+            continue
+        expected = set()
+        for chosen in itertools.chain.from_iterable(
+            itertools.combinations(cliques, size) for size in range(len(cliques) + 1)
+        ):
+            if any(a < b for a in chosen for b in chosen):
+                continue
+            if {p for a in chosen for p in itertools.combinations(sorted(a), 2)} == edges:
+                expected.add(frozenset(chosen))
+        covers = enumerate_monotone_covers(Graph(n, edges)).covers
+        assert {frozenset(map(frozenset, c.member_sets())) for c in covers} == expected
+        assert len(covers) == len(expected)
+        checked += 1
+
+
 def test_cover_enumeration_cap():
     with pytest.raises(ResourceCapError):
         enumerate_monotone_covers(complete_graph(6))
@@ -272,9 +305,9 @@ def test_cover_enumeration_cap():
 
 
 def test_clique_walks_retain_no_memory():
-    # a recursive walk that closes over itself is a reference cycle, and with
-    # the cyclic collector off it would keep each call's state alive; the
-    # cover listing walks that way, the forward passes must hold no cycle
+    # a reference cycle, such as a recursive walk that closes over itself,
+    # would keep each call's state alive with the cyclic collector off; the
+    # cover listing's explicit stack and the forward passes must hold none
     graph = Graph.from_edges(
         7,
         [(1, 2), (1, 6), (2, 4), (2, 7), (3, 4), (3, 5), (3, 6)]
@@ -376,6 +409,14 @@ def test_transitivity_degenerate_cases():
     assert transitivity_conditional(no_pair) == 1.0
     with pytest.raises(ValueError):
         transitivity_conditional(TableSchedule({3: (0.0, 0.0, 0.0, 0.0)}))
+
+
+@pytest.mark.xfail(strict=True, raises=ValueError, reason="ROADMAP item 3")
+def test_transitivity_under_tiny_rates_is_not_a_false_zero():
+    # the level-3 rates are 9.99e-16 (pairs) and 1e-18 (the triple), not
+    # zero, but the denominator 1 - e^{-rate(3)} (1 - p(2)^2) rounds to 0.0
+    exact = 0.999999999999002  # 0.99999999999900199900... to 60 digits
+    assert math.isclose(transitivity_conditional(GeometricSchedule(0.001, 1e-9)), exact, rel_tol=1e-13)
 
 
 def test_transitivity_matches_family_oracle():
@@ -1477,8 +1518,30 @@ def test_graph_prob_fallback_keeps_level_cap():
         graph_prob(complete_graph(8), schedule)
     with pytest.raises(ResourceCapError):
         graph_prob(complete_graph(7), schedule, cap=6)
+    # every vertex of K5 + K3 has a neighbourhood that spans an edge
+    k5_k3 = Graph.from_edges(8, list(itertools.combinations(range(1, 6), 2)) + [(6, 7), (6, 8), (7, 8)])
+    with pytest.raises(ResourceCapError):
+        graph_prob(k5_k3, schedule)
     # the clique walk is not bound by the level cap
     assert graph_prob(Graph.from_edges(8, [(1, 2)]), schedule) > 0.0
+
+
+@pytest.mark.parametrize("n", [7, 8, 10, 16])
+@pytest.mark.parametrize(
+    "schedule",
+    [GeometricSchedule(alpha=0.5, c=1.0), GeometricSchedule(alpha=0.5, c=1e-6), BetaUniformSchedule(c=1.0)],
+    ids=repr,
+)
+def test_graph_prob_splits_off_bare_vertices_past_the_level_cap(schedule, n, monkeypatch):
+    # K5 plus the path 5-6-7 has 28 cliques; vertices 8.. n, then 7 and 6,
+    # have neighbourhoods that span no edge, so only K5's level-5 laws are
+    # built, whatever n
+    graph = Graph.from_edges(n, list(itertools.combinations(range(1, 6), 2)) + [(5, 6), (6, 7)])
+    assert len(clique_set(graph)) == 28
+    prob = graph_prob(graph, schedule)
+    assert relative_error(prob, decimal_graph_prob(graph.edges, n, schedule)) <= decimal.Decimal("1e-13")
+    monkeypatch.setattr(inference, "CLIQUE_SUBSET_CAP", 28)  # the forward pass prices it too
+    assert math.isclose(prob, graph_prob(graph, schedule), rel_tol=1e-13)
 
 
 def test_graph_prob_applies_the_power_set_cap_before_the_level_total():

@@ -1,6 +1,7 @@
 """Value semantics of the package's twelve immutable types: repr, equality only
-within one class, hashing by field values, refusal of assignment and deletion,
-pickle and copy round trips, keyword construction and validation messages.
+within one class, hashing by field values (a mapping field by its items),
+refusal of assignment and deletion, pickle and copy round trips, keyword
+construction and validation messages.
 
 The reprs are the strings the types have printed since they were first written;
 a change to any of them changes what users see in logs and doctests.
@@ -84,10 +85,6 @@ VALUES = {
     ),
 }
 
-# a realization's counts are a dict, so it and a pipeline sample holding one
-# have no hash
-UNHASHABLE = {"PointProcessRealization", "PipelineSample"}
-
 by_name = pytest.mark.parametrize("name", sorted(VALUES))
 
 
@@ -102,9 +99,8 @@ def test_equal_only_within_one_class(name):
     make = VALUES[name][0]
     a, b = make(), make()
     assert a is not b and a == b and not a != b
-    if name not in UNHASHABLE:
-        assert hash(a) == hash(b)
-        assert {a: 0}[b] == 0
+    assert hash(a) == hash(b)
+    assert {a: 0}[b] == 0
     for other, (make_other, _, _) in VALUES.items():
         if other != name:
             assert a != make_other() and make_other() != a
@@ -205,6 +201,22 @@ def test_values_built_from_sets_and_lists_are_hashable():
     assert sigma.apply_to_mask(0b001) == 0b010
     assert hash(SubsetFamily(3, {3, 6})) == hash(_family())
     assert GeneratingClass(3, [6, 3]) == _cover() and hash(GeneratingClass(3, [6, 3])) == hash(_cover())
+
+
+def test_values_holding_mappings_hash_by_their_items():
+    # the same items inserted in another order make an equal key
+    realization = PointProcessRealization(3, {6: 1, 3: 1}, 7, "bernoulli")
+    swapped = PointProcessRealization(3, {3: 1, 6: 1}, 7, "bernoulli")
+    table = TableSchedule({1: [0.5, 0.5], 0: (1,)})
+    keys = {
+        realization: "realization",
+        PipelineSample(realization, _family(), _cover(), _triangle()): "sample",
+        table: "table",
+    }
+    assert keys[swapped] == "realization"
+    assert keys[PipelineSample(swapped, _family(), _cover(), _triangle())] == "sample"
+    assert keys[TableSchedule({0: [1.0], 1: (0.5, 0.5)})] == "table"
+    assert PointProcessRealization(3, {3: 1, 6: 1}, 8, "bernoulli") not in keys
 
 
 def test_frozen_and_tuple_input_is_stored_as_is():
