@@ -84,10 +84,6 @@ class CoverEnumeration(_Value):
 
     graph: Graph
     covers: tuple[GeneratingClass, ...]
-    _fields = ("graph", "covers")
-
-    def __init__(self, graph: Graph, covers: tuple[GeneratingClass, ...]) -> None:
-        super().__init__(graph, covers)
 
     def __len__(self) -> int:
         return len(self.covers)
@@ -226,12 +222,13 @@ def _graph_rates(schedule: RateSchedule, n: int) -> list[float]:
     return rates
 
 
-def _law_cap(n: int, cap: int | None) -> None:
+def _law_cap(n: int, cap: int | None, needs: str = "") -> None:
     if n < 0:
         raise ValueError(f"level must be >= 0, got {n}")
     cap = GRAPH_ENUM_CAP if cap is None else cap
     if n > cap:
-        raise ResourceCapError(f"whole-level graph law needs 2**{n * (n - 1) // 2} entries (cap n <= {cap})")
+        needs = needs or f"whole-level graph law needs 2**{n * (n - 1) // 2} entries"
+        raise ResourceCapError(f"{needs} (cap n <= {cap})")
 
 
 # NumPy copies a pass's runs through its ufunc buffer when they are shorter
@@ -538,7 +535,7 @@ def _cell(n: int, rates: list[float], edges: int, cap: int | None = None) -> flo
     p1, outside = _presence(rates[2]), (n - 1 - size) * rates[2]
     if not inner:
         return math.exp(-outside) * p1**size * _prob(n - 1, rates[1:], 0, cap) * _prob(n - 1, rates[:n], lower, cap)
-    _law_cap(n, cap)
+    _law_cap(n, cap, f"splitting a vertex off {n} vertices builds level-{n - 1} laws of 2**{below} cells")
     # every D inside E(e[N]), bit i of its position carrying the i-th edge of
     # ``inner``: its edge mask and the vertices its edges touch
     cells, touched = np.zeros(1, np.int32), np.zeros(1, np.uint8)

@@ -83,15 +83,25 @@ def all_masks(n: int) -> range:
 
 
 class _Value:
-    """Base of the immutable value types.  ``__init__`` stores the values of
-    ``_fields`` in order; an instance equals only an instance of its own class
-    with equal fields, hashes and prints by its fields, and refuses assignment
-    and deletion."""
+    """Base of the immutable value types.  A class's fields are its own
+    annotations in order, or its parent's when it has none, so a class constant
+    goes unannotated.  ``__init__`` binds positional values, then named ones;
+    an instance equals only an instance of its own class with equal fields,
+    hashes and prints by its fields, and refuses assignment and deletion."""
 
     _fields: tuple[str, ...] = ()
 
-    def __init__(self, *values: object) -> None:
-        self.__dict__.update(zip(self._fields, values))
+    def __init_subclass__(cls, **kwargs: object) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(cls.__annotations__) or cls._fields
+
+    def __init__(self, *values: object, **named: object) -> None:
+        fields = self._fields
+        if named or len(values) != len(fields):
+            values += tuple(named.pop(name) for name in fields[len(values):] if name in named)
+            if named or len(values) != len(fields):
+                raise TypeError(f"{type(self).__name__} takes each of its fields {fields} once")
+        self.__dict__.update(zip(fields, values))
 
     def _astuple(self) -> tuple:
         return tuple(map(self.__dict__.__getitem__, self._fields))
@@ -137,7 +147,6 @@ class SubsetFamily(_Value):
 
     n: int
     members: frozenset[int]
-    _fields = ("n", "members")
 
     def __init__(self, n: int, members: Iterable[int]) -> None:
         super().__init__(n, frozenset(members))
@@ -191,7 +200,6 @@ class Graph(_Value):
 
     n: int
     edges: frozenset[tuple[int, int]]
-    _fields = ("n", "edges")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]) -> None:
         super().__init__(n, frozenset(edges))
@@ -221,7 +229,6 @@ class Permutation(_Value):
     """A bijection of {1, ..., n}; ``images[i-1]`` is the image of ``i``."""
 
     images: tuple[int, ...]
-    _fields = ("images",)
 
     def __init__(self, images: Iterable[int]) -> None:
         super().__init__(tuple(images))

@@ -61,7 +61,6 @@ class PointProcessRealization(_Value):
     counts: Mapping[int, int]
     seed: int
     method: str
-    _fields = ("n", "counts", "seed", "method")
 
     def __init__(self, n: int, counts: Mapping[int, int], seed: int, method: str) -> None:
         check_seed(seed)
@@ -90,12 +89,6 @@ class PipelineSample(_Value):
     support: SubsetFamily
     cover: GeneratingClass
     graph: Graph
-    _fields = ("realization", "support", "cover", "graph")
-
-    def __init__(
-        self, realization: PointProcessRealization, support: SubsetFamily, cover: GeneratingClass, graph: Graph
-    ) -> None:
-        super().__init__(realization, support, cover, graph)
 
     @property
     def n(self) -> int:

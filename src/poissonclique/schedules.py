@@ -47,8 +47,7 @@ class GeometricSchedule(_Value, RateSchedule):
 
     alpha: float
     c: float
-    kind: ClassVar[str] = "geometric"
-    _fields = ("alpha", "c")
+    kind = "geometric"
 
     def __init__(self, alpha: float, c: float = 1.0) -> None:
         super().__init__(alpha, c)
@@ -75,8 +74,7 @@ class BetaUniformSchedule(_Value, RateSchedule):
     """
 
     c: float
-    kind: ClassVar[str] = "beta_uniform"
-    _fields = ("c",)
+    kind = "beta_uniform"
 
     def __init__(self, c: float = 1.0) -> None:
         super().__init__(c)
@@ -99,8 +97,7 @@ class MomentAtomsSchedule(_Value, RateSchedule):
     """
 
     atoms: tuple[tuple[float, float], ...]
-    kind: ClassVar[str] = "moment_atoms"
-    _fields = ("atoms",)
+    kind = "moment_atoms"
 
     def __init__(self, atoms: Iterable[tuple[float, float]]) -> None:
         super().__init__(tuple((float(x), float(w)) for x, w in atoms))
@@ -129,8 +126,7 @@ class TableSchedule(_Value, RateSchedule):
     """
 
     rows: Mapping[int, tuple[float, ...]]
-    kind: ClassVar[str] = "table"
-    _fields = ("rows",)
+    kind = "table"
 
     def __init__(self, rows: Mapping[int, Sequence[float]]) -> None:
         frozen = {}
@@ -181,12 +177,6 @@ class ConsistencyReport(_Value):
     tol: float
     max_violation: float
     witnesses: tuple[tuple[int, int, float, float], ...]
-    _fields = ("n_max", "tol", "max_violation", "witnesses")
-
-    def __init__(
-        self, n_max: int, tol: float, max_violation: float, witnesses: tuple[tuple[int, int, float, float], ...]
-    ) -> None:
-        super().__init__(n_max, tol, max_violation, witnesses)
 
     @property
     def ok(self) -> bool:

@@ -86,6 +86,13 @@ def extension_weights(base: frozenset[int], n: int, edges, schedule) -> dict[fro
 DECIMAL_DIGITS = 50
 
 
+def relative_error(got: float, exact: decimal.Decimal) -> decimal.Decimal:
+    """|got - exact| / exact, to DECIMAL_DIGITS digits."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = DECIMAL_DIGITS
+        return abs(decimal.Decimal(got) - exact) / exact
+
+
 def _decimal_factors(rate: float) -> tuple[decimal.Decimal, decimal.Decimal]:
     """(1 - e^{-rate}, e^{-rate}) to the current context's precision.
 
@@ -171,6 +178,15 @@ def decimal_graph_prob(edges, n: int, schedule) -> decimal.Decimal:
         ctx.prec = DECIMAL_DIGITS
         cliques, outside = _decimal_cliques(edges, n, schedule)
         return (-outside).exp() * _decimal_walk(cliques, edges)
+
+
+def decimal_cover_weight(edges, n: int, schedule) -> decimal.Decimal:
+    """The cliques' walk over ``edges`` to 60 digits: the graph's probability
+    without the absent sets' factor, the denominator of both conditionals."""
+    edges = frozenset(edges)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        return _decimal_walk(_decimal_cliques(edges, n, schedule)[0], edges)
 
 
 def decimal_cluster_prob(labels, edges, n: int, schedule) -> decimal.Decimal:

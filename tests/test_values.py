@@ -1,7 +1,7 @@
 """Value semantics of the package's twelve immutable types: repr, equality only
 within one class, hashing by field values (a mapping field by its items),
-refusal of assignment and deletion, pickle and copy round trips, keyword
-construction and validation messages.
+refusal of assignment and deletion, pickle and copy round trips, fields read
+off each class's annotations, keyword construction and validation messages.
 
 The reprs are the strings the types have printed since they were first written;
 a change to any of them changes what users see in logs and doctests.
@@ -20,6 +20,7 @@ from poissonclique.schedules import (
     ConsistencyReport,
     GeometricSchedule,
     MomentAtomsSchedule,
+    RateSchedule,
     TableSchedule,
 )
 
@@ -225,3 +226,49 @@ def test_frozen_and_tuple_input_is_stored_as_is():
     assert GeneratingClass(3, members).members is members
     assert Graph(3, edges).edges is edges
     assert Permutation(images).images is images
+
+
+@by_name
+def test_fields_are_the_annotated_names_in_order(name):
+    make, _, fields = VALUES[name]
+    cls = type(make())
+    # a type's own annotations, or its nearest parent's when it has none
+    assert cls._fields == next(tuple(c.__annotations__) for c in cls.__mro__ if c.__annotations__) == fields
+    if issubclass(cls, RateSchedule):
+        # a schedule's kind is a class constant, not a field
+        assert "kind" not in cls._fields and cls.kind == cls.to_dict(make())["kind"]
+
+
+@by_name
+def test_keyword_and_mixed_construction_give_equal_values(name):
+    value = VALUES[name][0]()
+    cls, fields = type(value), type(value)._fields
+    given = {field: getattr(value, field) for field in fields}
+    assert cls(**given) == value
+    assert cls(*given.values()) == value
+    first, *rest = fields
+    assert cls(given[first], **{field: given[field] for field in rest}) == value
+    assert cls(*[given[field] for field in fields[:-1]], **{fields[-1]: given[fields[-1]]}) == value
+
+
+@pytest.mark.parametrize(
+    "cls, values, message",
+    [
+        # a type without its own __init__ names its fields
+        (ConsistencyReport, (2, 0.1, 0.0, ()), r"its fields \('n_max', 'tol', 'max_violation', 'witnesses'\) once"),
+        # a validating type's own signature refuses the call
+        (Graph, (2, frozenset({(1, 2)})), None),
+    ],
+    ids=["ConsistencyReport", "Graph"],
+)
+def test_a_missing_extra_unknown_or_repeated_field_raises_type_error(cls, values, message):
+    first = cls._fields[0]
+    for args, kwargs in [
+        (values[:-1], {}),  # missing
+        ((), dict(zip(cls._fields[1:], values[1:]))),  # missing, the rest named
+        ((*values, 1), {}),  # extra
+        (values, {"extra": 1}),  # unknown
+        (values, {first: values[0]}),  # repeated
+    ]:
+        with pytest.raises(TypeError, match=message):
+            cls(*args, **kwargs)
